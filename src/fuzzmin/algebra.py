@@ -26,6 +26,49 @@ Degree = Union[Fraction, int]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Largest digit count, and largest exponent size, of a number read from
+# outside: Fraction and int expand "1e999999999" or a huge literal in full.
+MAX_NUMBER_DIGITS = 1000
+
+
+def check_number_text(text: str) -> str:
+    """Return numeric text unchanged, or raise UsageError when it has more
+    than MAX_NUMBER_DIGITS digits or an exponent larger than that."""
+    if len(text) <= MAX_NUMBER_DIGITS and "e" not in text and "E" not in text:
+        return text
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = "".join(c for c in exponent if c.isdigit()).lstrip("0")
+    if (
+        sum(c.isdigit() for c in mantissa) > MAX_NUMBER_DIGITS
+        or len(exponent) > len(str(MAX_NUMBER_DIGITS))
+        or int(exponent or 0) > MAX_NUMBER_DIGITS
+    ):
+        raise UsageError(
+            f"number {text[:30]!r}{'...' if len(text) > 30 else ''} too large: at most "
+            f"{MAX_NUMBER_DIGITS} digits and an exponent of at most {MAX_NUMBER_DIGITS}"
+        )
+    return text
+
+
+def read_json(path: str, exact: bool):
+    """Parse a JSON file, raising UsageError on malformed or oversized input.
+
+    With `exact`, bare decimals are read as exact Fractions (0.8 -> 4/5);
+    otherwise as floats, which degree checks reject.
+    """
+    to_float = Fraction if exact else float
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(
+                f,
+                parse_float=lambda text: to_float(check_number_text(text)),
+                parse_int=lambda text: int(check_number_text(text)),
+            )
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise UsageError(f"{path}: invalid JSON: nested too deeply") from None
+
 
 def _reject_float(value) -> None:
     if isinstance(value, float):
@@ -119,7 +162,7 @@ class UnitIntervalAlgebra(Algebra):
         if isinstance(text, (int, Fraction)):
             return self.check(text)
         try:
-            value = Fraction(str(text))
+            value = Fraction(check_number_text(str(text)))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"cannot parse degree {text!r}: {exc}") from None
         return self.check(value)
@@ -258,7 +301,7 @@ class FiniteLatticeAlgebra(Algebra):
         _reject_float(text)
         if isinstance(text, str):
             try:
-                text = int(text)
+                text = int(check_number_text(text))
             except ValueError:
                 raise UsageError(
                     f"cannot parse degree {text!r}: lattice degrees are chain indices"
@@ -350,11 +393,7 @@ def load_lattice(path: str) -> FiniteLatticeAlgebra:
     Schema: {"chain": N, "tnorm": [[..]], "snorm": [[..]], "residuum": [[..]],
     "neg": [..]} with indices 0..N-1, 0 = bottom, N-1 = top.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path, exact=False)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: lattice document must be a JSON object")
     missing = {"chain", "tnorm", "snorm", "residuum", "neg"} - doc.keys()

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .algebra import bundled_lattice_path, load_lattice, make_algebra
+from .algebra import bundled_lattice_path, load_lattice, make_algebra, read_json
 from .errors import UsageError
 from .fdl import (
     FeatureSet,
@@ -41,7 +41,7 @@ from .generate import (
     random_interpretation,
     random_tbox_axiom,
 )
-from .graph import FuzzyGraph, load_graph
+from .graph import FuzzyGraph, graph_from_json, load_graph
 from .partition import Partition
 from .refine import TraceStep, compcb, is_stable, naive_coarsest_stable_refinement
 from .syntax import parse_concept
@@ -164,16 +164,8 @@ def cmd_check(args) -> int:
 def cmd_stats(args) -> int:
     algebra = make_algebra(args.algebra)
     phi = _features(args.features)
-    with open(args.input, "r", encoding="utf-8") as f:
-        from fractions import Fraction
-
-        try:
-            doc = json.load(f, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.input}: invalid JSON: {exc}") from None
+    doc = read_json(args.input, exact=True)
     if isinstance(doc, dict) and "vertices" in doc:
-        from .graph import graph_from_json
-
         g = graph_from_json(doc, algebra)
     elif isinstance(doc, dict) and "domain" in doc:
         g = interpretation_to_graph(interpretation_from_json(doc, algebra), phi)

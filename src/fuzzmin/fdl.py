@@ -6,13 +6,12 @@ and satisfaction of assertions and terminological axioms.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Degree
+from .algebra import Algebra, Degree, read_json
 from .errors import FeatureError, UsageError
 from .graph import FuzzyGraph
 from .partition import Partition
@@ -382,75 +381,62 @@ def _const_degree(algebra: Algebra, value) -> Degree:
 def eval_role(i: Interpretation, role: RoleNode, phi: FeatureSet) -> list[list[Degree]]:
     """Degree matrix of a complex role over the whole domain."""
     check_features(role, phi)
-    return _role_matrix(i, role, phi)
-
-
-def _role_matrix(i: Interpretation, role: RoleNode, phi: FeatureSet) -> list[list[Degree]]:
-    alg = i.algebra
-    bottom, top = alg.bottom, alg.top
-    n = i.n
-    if isinstance(role, RoleName):
-        rows = [[bottom] * n for _ in range(n)]
-        for (x, y), degree in i.role_instances(role.name).items():
+    rows = [[i.algebra.bottom] * i.n for _ in range(i.n)]
+    for y in range(i.n):
+        for x, degree in enumerate(_role_column(i, role, y, phi)):
             rows[x][y] = degree
-        return rows
-    if isinstance(role, UniversalRole):
-        return [[top] * n for _ in range(n)]
+    return rows
+
+
+def _role_column(i: Interpretation, role: RoleNode, y: int, phi: FeatureSet) -> list[Degree]:
+    """R(x, y) for every x, as some R.v where v is top at y and bottom elsewhere."""
+    v = [i.algebra.bottom] * i.n
+    v[y] = i.algebra.top
+    return _modal(i, role, v, phi, True)
+
+
+def _modal(i: Interpretation, role: RoleNode, v: list[Degree], phi: FeatureSet, some: bool,
+           inverted: bool = False) -> list[Degree]:
+    """some R.v at every element, or all R.v when not `some`, computed from
+    the stored role instances alone.  A pending inverse is pushed down to
+    the role names; tests and the universal role are their own inverses.
+
+    The `all` form of each step takes min and the residuum where `some`
+    takes max and the t-norm: (sup a) => c = inf (a => c) and
+    (a * b) => c = a => (b => c).
+    """
+    alg = i.algebra
+    join, step = (max, alg.tnorm) if some else (min, alg.residuum)
+    if isinstance(role, RoleName):
+        out = [alg.bottom if some else alg.top] * i.n
+        for (x, y), degree in i.role_instances(role.name).items():
+            if inverted:
+                x, y = y, x
+            out[x] = join(out[x], step(degree, v[y]))
+        return out
     if isinstance(role, InverseRole):
-        child = _role_matrix(i, role.child, phi)
-        return [[child[y][x] for y in range(n)] for x in range(n)]
-    if isinstance(role, UnionRole):
-        left = _role_matrix(i, role.left, phi)
-        right = _role_matrix(i, role.right, phi)
-        return [[max(left[x][y], right[x][y]) for y in range(n)] for x in range(n)]
-    if isinstance(role, ComposeRole):
-        left = _role_matrix(i, role.left, phi)
-        right = _role_matrix(i, role.right, phi)
-        rows = [[bottom] * n for _ in range(n)]
-        for x in range(n):
-            lrow = left[x]
-            out = rows[x]
-            for z in range(n):
-                lv = lrow[z]
-                if lv == bottom:
-                    continue
-                rrow = right[z]
-                for y in range(n):
-                    rv = rrow[y]
-                    if rv == bottom:
-                        continue
-                    cand = alg.tnorm(lv, rv)
-                    if cand > out[y]:
-                        out[y] = cand
-        return rows
-    if isinstance(role, StarRole):
-        # closure over the (max, tnorm) semiring; path degrees never grow
-        # along a path, so cycles cannot improve anything and one
-        # all-intermediates sweep with a top diagonal is exact
-        rows = [list(r) for r in _role_matrix(i, role.child, phi)]
-        for x in range(n):
-            rows[x][x] = top
-        for k in range(n):
-            krow = rows[k]
-            for x in range(n):
-                xk = rows[x][k]
-                if xk == bottom:
-                    continue
-                xrow = rows[x]
-                for y in range(n):
-                    ky = krow[y]
-                    if ky == bottom:
-                        continue
-                    cand = alg.tnorm(xk, ky)
-                    if cand > xrow[y]:
-                        xrow[y] = cand
-        return rows
+        return _modal(i, role.child, v, phi, some, not inverted)
+    if isinstance(role, UniversalRole):
+        return [step(alg.top, join(v))] * i.n
     if isinstance(role, TestRole):
-        values = _concept_values(i, role.concept, phi)
-        rows = [[bottom] * n for _ in range(n)]
-        for x in range(n):
-            rows[x][x] = values[x]
-        return rows
+        return [step(c, d) for c, d in zip(_concept_values(i, role.concept, phi), v)]
+    if isinstance(role, UnionRole):
+        left = _modal(i, role.left, v, phi, some, inverted)
+        right = _modal(i, role.right, v, phi, some, inverted)
+        return [join(a, b) for a, b in zip(left, right)]
+    if isinstance(role, ComposeRole):
+        first, second = (role.right, role.left) if inverted else (role.left, role.right)
+        return _modal(i, first, _modal(i, second, v, phi, some, inverted), phi, some, inverted)
+    if isinstance(role, StarRole):
+        # the least (for all, greatest) w with w = join(v, R.w); degrees
+        # never grow along a path, so paths of fewer than n steps suffice
+        # and the iteration settles within n rounds
+        w = v
+        while True:
+            nxt = [join(a, b) for a, b in zip(v, _modal(i, role.child, w, phi, some, inverted))]
+            if nxt == w:
+                return w
+            w = nxt
     raise UsageError(f"unknown role node {role!r}")
 
 
@@ -484,29 +470,9 @@ def _concept_values(i: Interpretation, concept: ConceptNode, phi: FeatureSet) ->
             ImpliesConcept: alg.residuum,
         }[type(concept)]
         return [op(left[x], right[x]) for x in range(n)]
-    if isinstance(concept, ForallConcept):
-        rows = _role_matrix(i, concept.role, phi)
+    if isinstance(concept, (ForallConcept, ExistsConcept)):
         child = _concept_values(i, concept.child, phi)
-        return [
-            min(alg.residuum(rows[x][y], child[y]) for y in range(n))
-            for x in range(n)
-        ]
-    if isinstance(concept, ExistsConcept):
-        rows = _role_matrix(i, concept.role, phi)
-        child = _concept_values(i, concept.child, phi)
-        bottom = alg.bottom
-        out = []
-        for x in range(n):
-            best = bottom
-            row = rows[x]
-            for y in range(n):
-                if row[y] == bottom:
-                    continue
-                cand = alg.tnorm(row[y], child[y])
-                if cand > best:
-                    best = cand
-            out.append(best)
-        return out
+        return _modal(i, concept.role, child, phi, isinstance(concept, ExistsConcept))
     raise UsageError(f"unknown concept node {concept!r}")
 
 
@@ -812,7 +778,8 @@ def satisfies(i: Interpretation, phi: FeatureSet, stmt) -> bool:
         bound = _const_degree(alg, stmt.degree)
         x = i.individual_element(stmt.a)
         y = i.individual_element(stmt.b)
-        return compare(eval_role(i, stmt.role, phi)[x][y], bound)
+        check_features(stmt.role, phi)
+        return compare(_role_column(i, stmt.role, y, phi)[x], bound)
     if isinstance(stmt, SameAssertion):
         return i.individual_element(stmt.a) == i.individual_element(stmt.b)
     if isinstance(stmt, DistinctAssertion):
@@ -827,13 +794,25 @@ def interpretation_from_json(doc, algebra: Algebra) -> Interpretation:
     "concepts": {A: {name: degree}}, "roles": {r: [[from, to, degree]]}}."""
     if not isinstance(doc, dict) or "domain" not in doc:
         raise UsageError("interpretation document must be a JSON object with a \"domain\" list")
-    return Interpretation(
-        algebra,
-        doc["domain"],
-        doc.get("individuals", {}),
-        doc.get("concepts", {}),
-        {r: [tuple(e) for e in entries] for r, entries in doc.get("roles", {}).items()},
-    )
+    domain, individuals = doc["domain"], doc.get("individuals", {})
+    concepts, roles = doc.get("concepts", {}), doc.get("roles", {})
+    if not isinstance(domain, list) or not all(isinstance(x, str) for x in domain):
+        raise UsageError('"domain" must be a list of element names')
+    if not _object_of(individuals, str):
+        raise UsageError('"individuals" must be an object of element names')
+    if not _object_of(concepts, dict):
+        raise UsageError('"concepts" must be an object of {element: degree} objects')
+    if not _object_of(roles, list) or not all(
+        isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and isinstance(e[1], str)
+        for entries in roles.values()
+        for e in entries
+    ):
+        raise UsageError('"roles" must be an object of lists of [from, to, degree] lists')
+    return Interpretation(algebra, domain, individuals, concepts, roles)
+
+
+def _object_of(value, kind: type) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, kind) for v in value.values())
 
 
 def interpretation_to_json(i: Interpretation) -> dict:
@@ -859,26 +838,17 @@ def interpretation_to_json(i: Interpretation) -> dict:
 
 
 def load_interpretation(path: str, algebra: Algebra) -> Interpretation:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    return interpretation_from_json(doc, algebra)
+    return interpretation_from_json(read_json(path, exact=True), algebra)
 
 
 def load_relation(path: str, i1: Interpretation, i2: Interpretation) -> set[tuple[int, int]]:
     """Load a relation as a JSON array of [left-name, right-name] pairs."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path, exact=False)
     if not isinstance(doc, list):
         raise UsageError(f"{path}: relation document must be a JSON array of pairs")
     pairs: set[tuple[int, int]] = set()
     for entry in doc:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise UsageError(f"relation entry {entry!r} must be a [left, right] pair")
+        if not isinstance(entry, list) or len(entry) != 2 or not all(isinstance(e, str) for e in entry):
+            raise UsageError(f"relation entry {entry!r} must be a [left, right] pair of names")
         pairs.add((i1.element_id(entry[0]), i2.element_id(entry[1])))
     return pairs

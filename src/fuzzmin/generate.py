@@ -120,7 +120,12 @@ def random_interpretation(params: GeneratorParams, seed: int, algebra: Algebra) 
             roles[rname][pair] = rng.choice(pool)
 
     # clone a few elements (same labels, same outgoing edges) so quotients
-    # have something to collapse
+    # have something to collapse; sources are base elements, so their
+    # out-edges are indexed once, in insertion order
+    out_edges: dict[str, dict[str, list[tuple[str, Degree]]]] = {r: {} for r in role_names}
+    for rname, table in roles.items():
+        for (src, tgt), degree in table.items():
+            out_edges[rname].setdefault(src, []).append((tgt, degree))
     clones = int(base_n * params.clone_fraction)
     for k in range(clones):
         source = names[rng.randrange(base_n)]
@@ -130,9 +135,8 @@ def random_interpretation(params: GeneratorParams, seed: int, algebra: Algebra) 
             if source in concepts[cname]:
                 concepts[cname][clone] = concepts[cname][source]
         for rname in role_names:
-            for (src, tgt), degree in list(roles[rname].items()):
-                if src == source:
-                    roles[rname][(clone, tgt)] = degree
+            for tgt, degree in out_edges[rname].get(source, ()):
+                roles[rname][(clone, tgt)] = degree
 
     individuals = {}
     for k in range(min(params.individual_count, len(names))):

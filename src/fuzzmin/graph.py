@@ -7,12 +7,10 @@ immutable after construction and all degrees belong to one shared algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Degree
+from .algebra import Algebra, Degree, read_json
 from .errors import UsageError
 from .partition import Partition
 
@@ -177,10 +175,4 @@ def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:
 
 
 def load_graph(path: str, algebra: Algebra) -> FuzzyGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            # parse_float keeps decimal literals exact (0.8 -> 4/5)
-            doc = json.load(f, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    return graph_from_json(doc, algebra)
+    return graph_from_json(read_json(path, exact=True), algebra)

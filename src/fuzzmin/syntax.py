@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .algebra import check_number_text
 from .errors import FeatureError, ParseError
 from .fdl import (
     AndConcept,
@@ -78,6 +79,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest expression nesting the parser accepts.  The parser, the checks
+# and the evaluator all recurse once per level, so this bound keeps every
+# one of them inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
+def _nesting(method):
+    """Count one level of nesting around a parser method that recursion
+    passes through."""
+
+    def counted(self):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", self.pos())
+        self.depth += 1
+        try:
+            return method(self)
+        finally:
+            self.depth -= 1
+
+    return counted
+
+
 class _PendingConcept:
     """A concept parsed in role position; must be completed by '?'."""
 
@@ -93,6 +116,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.phi = phi
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -139,6 +163,7 @@ class _Parser:
             node = AndConcept(node, self.concept_unary())
         return node
 
+    @_nesting
     def concept_unary(self) -> ConceptNode:
         kind = self.peek()
         if kind == "tri":
@@ -160,7 +185,7 @@ class _Parser:
         if kind == "number":
             self.advance()
             try:
-                return ConstantConcept(Fraction(value))
+                return ConstantConcept(Fraction(check_number_text(value)))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad degree literal {value!r}", pos) from None
         if kind == "name":
@@ -236,6 +261,7 @@ class _Parser:
             else:
                 return node
 
+    @_nesting
     def role_atom(self):
         kind, value, pos = self.tokens[self.i]
         if kind == "U":

@@ -1,6 +1,27 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite, and the dense evaluator
+kept as the differential oracle for `eval_concept` and `eval_role`."""
 
-from fuzzmin import FeatureSet, FuzzyGraph, Interpretation
+from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, UsageError
+from fuzzmin.fdl import (
+    AndConcept,
+    BaazConcept,
+    ComposeRole,
+    ConceptName,
+    ConstantConcept,
+    ExistsConcept,
+    ForallConcept,
+    ImpliesConcept,
+    InverseRole,
+    Nominal,
+    NotConcept,
+    OrConcept,
+    RoleName,
+    StarRole,
+    TestRole,
+    UnionRole,
+    UniversalRole,
+    _const_degree,
+)
 
 # baseline feature configuration used by most golden tests
 PSI = ["baaz", "comp", "union", "star", "test", "universal"]
@@ -74,3 +95,102 @@ def collapse_graph(algebra) -> FuzzyGraph:
 
 def blocks_by_names(partition, names) -> set[frozenset[str]]:
     return {frozenset(names[v] for v in block) for block in partition.blocks}
+
+
+# --- dense oracle ------------------------------------------------------------
+
+def dense_role_matrix(i, role) -> list[list]:
+    """Degree matrix of a complex role, built from n x n matrices."""
+    alg = i.algebra
+    bottom, top = alg.bottom, alg.top
+    n = i.n
+    if isinstance(role, RoleName):
+        rows = [[bottom] * n for _ in range(n)]
+        for (x, y), degree in i.role_instances(role.name).items():
+            rows[x][y] = degree
+        return rows
+    if isinstance(role, UniversalRole):
+        return [[top] * n for _ in range(n)]
+    if isinstance(role, InverseRole):
+        child = dense_role_matrix(i, role.child)
+        return [[child[y][x] for y in range(n)] for x in range(n)]
+    if isinstance(role, UnionRole):
+        left = dense_role_matrix(i, role.left)
+        right = dense_role_matrix(i, role.right)
+        return [[max(left[x][y], right[x][y]) for y in range(n)] for x in range(n)]
+    if isinstance(role, ComposeRole):
+        left = dense_role_matrix(i, role.left)
+        right = dense_role_matrix(i, role.right)
+        rows = [[bottom] * n for _ in range(n)]
+        for x in range(n):
+            for z in range(n):
+                if left[x][z] == bottom:
+                    continue
+                for y in range(n):
+                    if right[z][y] == bottom:
+                        continue
+                    cand = alg.tnorm(left[x][z], right[z][y])
+                    if cand > rows[x][y]:
+                        rows[x][y] = cand
+        return rows
+    if isinstance(role, StarRole):
+        # closure over the (max, tnorm) semiring; path degrees never grow
+        # along a path, so one all-intermediates sweep with a top diagonal
+        # is exact
+        rows = [list(r) for r in dense_role_matrix(i, role.child)]
+        for x in range(n):
+            rows[x][x] = top
+        for k in range(n):
+            for x in range(n):
+                if rows[x][k] == bottom:
+                    continue
+                for y in range(n):
+                    if rows[k][y] == bottom:
+                        continue
+                    cand = alg.tnorm(rows[x][k], rows[k][y])
+                    if cand > rows[x][y]:
+                        rows[x][y] = cand
+        return rows
+    if isinstance(role, TestRole):
+        values = dense_concept_values(i, role.concept)
+        rows = [[bottom] * n for _ in range(n)]
+        for x in range(n):
+            rows[x][x] = values[x]
+        return rows
+    raise UsageError(f"unknown role node {role!r}")
+
+
+def dense_concept_values(i, concept) -> list:
+    """Degree of a concept at every element, with some/all read off the
+    dense role matrix: sup_y R(x,y) * C(y) and inf_y R(x,y) => C(y)."""
+    alg = i.algebra
+    n = i.n
+    if isinstance(concept, ConstantConcept):
+        return [_const_degree(alg, concept.value)] * n
+    if isinstance(concept, ConceptName):
+        return [i.concept_degree(concept.name, x) for x in range(n)]
+    if isinstance(concept, Nominal):
+        elem = i.individual_element(concept.individual)
+        return [alg.top if x == elem else alg.bottom for x in range(n)]
+    if isinstance(concept, BaazConcept):
+        return [alg.baaz(v) for v in dense_concept_values(i, concept.child)]
+    if isinstance(concept, NotConcept):
+        return [alg.neg(v) for v in dense_concept_values(i, concept.child)]
+    if isinstance(concept, (AndConcept, OrConcept, ImpliesConcept)):
+        left = dense_concept_values(i, concept.left)
+        right = dense_concept_values(i, concept.right)
+        op = {AndConcept: alg.tnorm, OrConcept: alg.snorm, ImpliesConcept: alg.residuum}[type(concept)]
+        return [op(left[x], right[x]) for x in range(n)]
+    if isinstance(concept, ForallConcept):
+        rows = dense_role_matrix(i, concept.role)
+        child = dense_concept_values(i, concept.child)
+        return [min(alg.residuum(rows[x][y], child[y]) for y in range(n)) for x in range(n)]
+    if isinstance(concept, ExistsConcept):
+        rows = dense_role_matrix(i, concept.role)
+        child = dense_concept_values(i, concept.child)
+        return [
+            max((alg.tnorm(rows[x][y], child[y]) for y in range(n) if rows[x][y] != alg.bottom),
+                default=alg.bottom)
+            for x in range(n)
+        ]
+    raise UsageError(f"unknown concept node {concept!r}")

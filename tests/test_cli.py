@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from fuzzmin import GodelAlgebra, interpretation_to_json
 from fuzzmin.cli import main
+from fuzzmin.syntax import MAX_NESTING
 from helpers import PSI, chain_interp, collapse_interp, two_component_interp
 
 GODEL = GodelAlgebra()
@@ -229,3 +231,56 @@ def test_io_error_exit_code(capsys):
 
 def test_usage_error_on_bad_algebra(graph_file, capsys):
     assert main(["partition", "--input", graph_file, "--algebra", "zadeh"]) == 2
+
+
+# --- hostile and malformed input ----------------------------------------------
+
+HUGE_NUMBERS = {
+    "exponent-string": '{"domain": ["u"], "concepts": {"A": {"u": "1e999999999"}}}',
+    "exponent-number": '{"domain": ["u"], "concepts": {"A": {"u": 1e999999999}}}',
+    "long-integer": '{"domain": ["u"], "concepts": {"A": {"u": 1' + "0" * 4999 + "}}}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_NUMBERS))
+def test_minimize_rejects_oversized_numbers(name, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_NUMBERS[name])
+    start = time.perf_counter()
+    assert main(["minimize", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+MALFORMED = {
+    "concept-list": '{"domain": ["u"], "concepts": {"A": ["u"]}}',
+    "domain-nested": '{"domain": [["u"]]}',
+    "domain-string": '{"domain": "uv"}',
+    "role-endpoint": '{"domain": ["u"], "roles": {"r": [[["u"], "u", "1"]]}}',
+    "deep-json": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_interpretation_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED[name])
+    for command in (["minimize"], ["stats"]):
+        assert main(command + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("expr", ["not " * 5000 + "A", "(" * 3000 + "A" + ")" * 3000],
+                         ids=["not", "parentheses"])
+def test_eval_rejects_deep_nesting(expr, chain_file, capsys):
+    assert main(["eval", "--input", chain_file, "--features", PSI_FLAG, expr, "a"]) == 2
+    assert "nested more than" in capsys.readouterr().err
+
+
+def test_eval_accepts_nesting_up_to_the_limit(chain_file, capsys):
+    deepest = MAX_NESTING - 2  # the name and the quantifier take a level each
+    for expr in ("not " * (MAX_NESTING - 1) + "A",
+                 "(" * (MAX_NESTING - 1) + "A" + ")" * (MAX_NESTING - 1),
+                 "some " + "(" * deepest + "r" + ")*" * deepest + " . A"):
+        assert main(["eval", "--input", chain_file, "--features", PSI_FLAG, expr, "a"]) == 0
+    assert capsys.readouterr().out.split() == ["0", "1", "1"]

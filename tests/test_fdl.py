@@ -39,7 +39,9 @@ from fuzzmin.fdl import (
     TestRole,
     UniversalRole,
 )
-from fuzzmin.generate import GeneratorParams, random_concept, random_interpretation
+from fuzzmin.algebra import bundled_lattice_path, load_lattice
+from fuzzmin.generate import GeneratorParams, random_concept, random_interpretation, random_role
+from fuzzmin.syntax import parse_role
 from helpers import (
     PHI_I,
     PHI_IO,
@@ -48,6 +50,8 @@ from helpers import (
     chain_interp,
     collapse_interp,
     collapsed_twin,
+    dense_concept_values,
+    dense_role_matrix,
     two_component_interp,
 )
 
@@ -83,6 +87,41 @@ def test_golden_evaluation_table(column, alg):
     }
     for key, node in concepts.items():
         assert eval_concept(i, node, PHI_PSI)[a] == GOLDEN_TABLE[key][column], key
+
+
+# role shapes the generator rarely draws: double and pushed-down inverses,
+# closures of compositions, tests under an inverse, the universal role
+RARE_ROLES = ["r0--", "(r0;r1)-*", "((r0|r1-)*;r0)", "(A0?;r0*)-", "U", "U-"]
+ORACLE_ALGEBRAS = {
+    "godel": GODEL,
+    "product": PRODUCT,
+    "lukasiewicz": LUK,
+    **{name: load_lattice(bundled_lattice_path(name)) for name in ("godel5", "lukasiewicz4", "boolean")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_evaluator_matches_dense_oracle(name):
+    alg = ORACLE_ALGEBRAS[name]
+    full = FeatureSet.full()
+    params = GeneratorParams(n_min=2, n_max=8, edge_factor=3, pool_size=3)  # n <= 10 with clones
+    rng = random.Random(f"dense-oracle:{name}")
+    for seed in range(10):
+        i = random_interpretation(params, seed, alg)
+        assert i.n <= 10
+        cnames, rnames, inames = list(i.concept_names), list(i.role_names), list(i.individual_names)
+        roles = [parse_role(text, full) for text in RARE_ROLES]
+        roles += [random_role(rng, full, 3, rnames, cnames, inames, alg) for _ in range(4)]
+        bodies = [ConceptName("A0")]
+        bodies += [random_concept(rng, full, 2, cnames, rnames, inames, alg) for _ in range(2)]
+        for role in roles:
+            assert eval_role(i, role, full) == dense_role_matrix(i, role), (seed, role)
+            for body in bodies:
+                for node in (ExistsConcept(role, body), ForallConcept(role, body)):
+                    assert eval_concept(i, node, full) == dense_concept_values(i, node), (seed, node)
+        for _ in range(4):
+            node = random_concept(rng, full, 3, cnames, rnames, inames, alg)
+            assert eval_concept(i, node, full) == dense_concept_values(i, node), (seed, node)
 
 
 def test_universal_role_is_all_top():
