@@ -382,24 +382,29 @@ def eval_role(i: Interpretation, role: RoleNode, phi: FeatureSet) -> list[list[D
     """Degree matrix of a complex role over the whole domain."""
     check_features(role, phi)
     rows = [[i.algebra.bottom] * i.n for _ in range(i.n)]
+    tests: dict[int, list[Degree]] = {}
     for y in range(i.n):
-        for x, degree in enumerate(_role_column(i, role, y, phi)):
+        for x, degree in enumerate(_role_column(i, role, y, tests)):
             rows[x][y] = degree
     return rows
 
 
-def _role_column(i: Interpretation, role: RoleNode, y: int, phi: FeatureSet) -> list[Degree]:
+def _role_column(i: Interpretation, role: RoleNode, y: int,
+                 tests: dict[int, list[Degree]]) -> list[Degree]:
     """R(x, y) for every x, as some R.v where v is top at y and bottom elsewhere."""
     v = [i.algebra.bottom] * i.n
     v[y] = i.algebra.top
-    return _modal(i, role, v, phi, True)
+    return _modal(i, role, v, tests, True)
 
 
-def _modal(i: Interpretation, role: RoleNode, v: list[Degree], phi: FeatureSet, some: bool,
-           inverted: bool = False) -> list[Degree]:
+def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, list[Degree]],
+           some: bool, inverted: bool = False) -> list[Degree]:
     """some R.v at every element, or all R.v when not `some`, computed from
     the stored role instances alone.  A pending inverse is pushed down to
     the role names; tests and the universal role are their own inverses.
+    `tests` keeps the values of each test's concept, by node identity, so
+    that a `*` around a test evaluates the test's concept once, not in
+    every round.
 
     The `all` form of each step takes min and the residuum where `some`
     takes max and the t-norm: (sup a) => c = inf (a => c) and
@@ -415,25 +420,28 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], phi: FeatureSet, 
             out[x] = join(out[x], step(degree, v[y]))
         return out
     if isinstance(role, InverseRole):
-        return _modal(i, role.child, v, phi, some, not inverted)
+        return _modal(i, role.child, v, tests, some, not inverted)
     if isinstance(role, UniversalRole):
         return [step(alg.top, join(v))] * i.n
     if isinstance(role, TestRole):
-        return [step(c, d) for c, d in zip(_concept_values(i, role.concept, phi), v)]
+        values = tests.get(id(role))
+        if values is None:
+            values = tests[id(role)] = _concept_values(i, role.concept, tests)
+        return [step(c, d) for c, d in zip(values, v)]
     if isinstance(role, UnionRole):
-        left = _modal(i, role.left, v, phi, some, inverted)
-        right = _modal(i, role.right, v, phi, some, inverted)
+        left = _modal(i, role.left, v, tests, some, inverted)
+        right = _modal(i, role.right, v, tests, some, inverted)
         return [join(a, b) for a, b in zip(left, right)]
     if isinstance(role, ComposeRole):
         first, second = (role.right, role.left) if inverted else (role.left, role.right)
-        return _modal(i, first, _modal(i, second, v, phi, some, inverted), phi, some, inverted)
+        return _modal(i, first, _modal(i, second, v, tests, some, inverted), tests, some, inverted)
     if isinstance(role, StarRole):
         # the least (for all, greatest) w with w = join(v, R.w); degrees
         # never grow along a path, so paths of fewer than n steps suffice
         # and the iteration settles within n rounds
         w = v
         while True:
-            nxt = [join(a, b) for a, b in zip(v, _modal(i, role.child, w, phi, some, inverted))]
+            nxt = [join(a, b) for a, b in zip(v, _modal(i, role.child, w, tests, some, inverted))]
             if nxt == w:
                 return w
             w = nxt
@@ -443,10 +451,11 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], phi: FeatureSet, 
 def eval_concept(i: Interpretation, concept: ConceptNode, phi: FeatureSet) -> list[Degree]:
     """Degree of a concept at every domain element, in domain order."""
     check_features(concept, phi)
-    return _concept_values(i, concept, phi)
+    return _concept_values(i, concept, {})
 
 
-def _concept_values(i: Interpretation, concept: ConceptNode, phi: FeatureSet) -> list[Degree]:
+def _concept_values(i: Interpretation, concept: ConceptNode,
+                    tests: dict[int, list[Degree]]) -> list[Degree]:
     alg = i.algebra
     n = i.n
     if isinstance(concept, ConstantConcept):
@@ -458,12 +467,12 @@ def _concept_values(i: Interpretation, concept: ConceptNode, phi: FeatureSet) ->
         elem = i.individual_element(concept.individual)
         return [alg.top if x == elem else alg.bottom for x in range(n)]
     if isinstance(concept, BaazConcept):
-        return [alg.baaz(v) for v in _concept_values(i, concept.child, phi)]
+        return [alg.baaz(v) for v in _concept_values(i, concept.child, tests)]
     if isinstance(concept, NotConcept):
-        return [alg.neg(v) for v in _concept_values(i, concept.child, phi)]
+        return [alg.neg(v) for v in _concept_values(i, concept.child, tests)]
     if isinstance(concept, (AndConcept, OrConcept, ImpliesConcept)):
-        left = _concept_values(i, concept.left, phi)
-        right = _concept_values(i, concept.right, phi)
+        left = _concept_values(i, concept.left, tests)
+        right = _concept_values(i, concept.right, tests)
         op = {
             AndConcept: alg.tnorm,
             OrConcept: alg.snorm,
@@ -471,8 +480,8 @@ def _concept_values(i: Interpretation, concept: ConceptNode, phi: FeatureSet) ->
         }[type(concept)]
         return [op(left[x], right[x]) for x in range(n)]
     if isinstance(concept, (ForallConcept, ExistsConcept)):
-        child = _concept_values(i, concept.child, phi)
-        return _modal(i, concept.role, child, phi, isinstance(concept, ExistsConcept))
+        child = _concept_values(i, concept.child, tests)
+        return _modal(i, concept.role, child, tests, isinstance(concept, ExistsConcept))
     raise UsageError(f"unknown concept node {concept!r}")
 
 
@@ -617,34 +626,37 @@ def interpretation_to_graph(i: Interpretation, phi: FeatureSet) -> FuzzyGraph:
 
     Vertex labels are the concept names (plus, with nominals enabled, one
     crisp label per individual name); edge labels are the role names
-    (plus, with inverses enabled, a reversed copy labelled `r-`).
+    (plus, with inverses enabled, a reversed copy labelled `r-`).  Element
+    ids and the interpretation's degrees, checked when it was built, go to
+    the graph as they are.
     """
-    vertex_labels: dict[str, dict[str, Degree]] = {}
+    labels: list[dict[str, Degree]] = [{} for _ in range(i.n)]
+    label_names: set[str] = set()
     for cname in i.concept_names:
-        for x in range(i.n):
-            degree = i.concept_degree(cname, x)
-            if degree != i.algebra.bottom:
-                vertex_labels.setdefault(i.names[x], {})[cname] = degree
+        for x, degree in i._concepts[cname].items():
+            labels[x][cname] = degree
+            label_names.add(cname)
     if phi.nominal:
         for a in i.individual_names:
-            vertex_labels.setdefault(i.names[i.individuals[a]], {})[a] = i.algebra.top
+            labels[i.individuals[a]][a] = i.algebra.top
+            label_names.add(a)
 
-    edges: list[tuple[str, str, str, Degree]] = []
-    edge_labels = set(i.role_names)
+    edges: list[tuple[int, str, int, Degree]] = []
     for rname in i.role_names:
-        for (x, y), degree in i.role_instances(rname).items():
-            edges.append((i.names[x], rname, i.names[y], degree))
+        edges += [(x, rname, y, degree) for (x, y), degree in i.role_instances(rname).items()]
     if phi.inverse:
         for rname in i.role_names:
             reversed_label = rname + "-"
-            if reversed_label in edge_labels:
+            if reversed_label in i.role_names:
                 raise UsageError(
                     f"role name {reversed_label!r} collides with the inverse label of {rname!r}"
                 )
-            for (x, y), degree in i.role_instances(rname).items():
-                edges.append((i.names[y], reversed_label, i.names[x], degree))
+            edges += [
+                (y, reversed_label, x, degree)
+                for (x, y), degree in i.role_instances(rname).items()
+            ]
 
-    return FuzzyGraph(i.algebra, i.names, vertex_labels, edges)
+    return FuzzyGraph._from_ids(i.algebra, i.names, labels, label_names, edges)
 
 
 def block_name(members: Iterable[str]) -> str:
@@ -779,7 +791,7 @@ def satisfies(i: Interpretation, phi: FeatureSet, stmt) -> bool:
         x = i.individual_element(stmt.a)
         y = i.individual_element(stmt.b)
         check_features(stmt.role, phi)
-        return compare(_role_column(i, stmt.role, y, phi)[x], bound)
+        return compare(_role_column(i, stmt.role, y, {})[x], bound)
     if isinstance(stmt, SameAssertion):
         return i.individual_element(stmt.a) == i.individual_element(stmt.b)
     if isinstance(stmt, DistinctAssertion):

@@ -23,6 +23,18 @@ class GraphStats:
 
 
 class FuzzyGraph:
+    """Vertices, fuzzy vertex labels and labeled edges over one algebra.
+
+    Edge degrees are interned once: `levels` holds bottom at index 0 and the
+    distinct edge degrees in ascending order after it, and the adjacency the
+    refinement engine reads (`incoming`) holds ranks into it.  Since the
+    engine only compares degrees, ranks stand in for them; degrees come back
+    only in `out_edges`, `sup_degree` and `edges`.
+
+    The constructor takes names and degree text and validates both; it is
+    the boundary for JSON documents and generators.
+    """
+
     def __init__(
         self,
         algebra: Algebra,
@@ -30,14 +42,12 @@ class FuzzyGraph:
         vertex_labels: Mapping[str, Mapping[str, Degree]] | None = None,
         edges: Iterable[tuple[str, str, str, Degree]] = (),
     ):
-        self.algebra = algebra
-        self.names: tuple[str, ...] = tuple(vertices)
-        if len(set(self.names)) != len(self.names):
+        names = tuple(vertices)
+        if len(set(names)) != len(names):
             raise UsageError("duplicate vertex names")
-        self._id: dict[str, int] = {name: i for i, name in enumerate(self.names)}
-        self.n = len(self.names)
+        self._id: dict[str, int] = {name: i for i, name in enumerate(names)}
 
-        labels: list[dict[str, Degree]] = [{} for _ in range(self.n)]
+        labels: list[dict[str, Degree]] = [{} for _ in names]
         label_names: set[str] = set()
         for vname, assignment in (vertex_labels or {}).items():
             v = self.vertex_id(vname)
@@ -46,12 +56,8 @@ class FuzzyGraph:
                 label_names.add(label)
                 if degree != algebra.bottom:
                     labels[v][label] = degree
-        self.vertex_label_names: tuple[str, ...] = tuple(sorted(label_names))
-        self._labels: tuple[dict[str, Degree], ...] = tuple(labels)
 
-        out: list[dict[str, dict[int, Degree]]] = [{} for _ in range(self.n)]
-        edge_list: list[tuple[int, str, int, Degree]] = []
-        edge_labels: set[str] = set()
+        checked: list[tuple[int, str, int, Degree]] = []
         for sname, label, tname, degree in edges:
             s, t = self.vertex_id(sname), self.vertex_id(tname)
             degree = algebra.parse_degree(degree)
@@ -59,16 +65,74 @@ class FuzzyGraph:
                 raise UsageError(
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )
+            checked.append((s, label, t, degree))
+        self._build(algebra, names, labels, label_names, checked)
+
+    @classmethod
+    def _from_ids(
+        cls,
+        algebra: Algebra,
+        names: tuple[str, ...],
+        labels: list[dict[str, Degree]],
+        label_names: Iterable[str],
+        edges: list[tuple[int, str, int, Degree]],
+    ) -> "FuzzyGraph":
+        """A graph from vertex ids and degrees that are already checked:
+        labels hold no bottom degrees and edges no zero degrees."""
+        g = cls.__new__(cls)
+        g._id = {name: i for i, name in enumerate(names)}
+        g._build(algebra, names, labels, label_names, edges)
+        return g
+
+    def _build(
+        self,
+        algebra: Algebra,
+        names: tuple[str, ...],
+        labels: list[dict[str, Degree]],
+        label_names: Iterable[str],
+        edges: list[tuple[int, str, int, Degree]],
+    ) -> None:
+        self.algebra = algebra
+        self.names: tuple[str, ...] = names
+        self.n = len(names)
+        self.vertex_label_names: tuple[str, ...] = tuple(sorted(label_names))
+        self._labels: tuple[dict[str, Degree], ...] = tuple(labels)
+
+        # intern the edge degrees, hashing each distinct degree object once
+        # (a reversed edge shares its degree object with the forward edge)
+        first_seen: dict[Degree, int] = {}
+        by_object: dict[int, int] = {}
+        seen: list[int] = []
+        for _, _, _, degree in edges:
+            first = by_object.get(id(degree))
+            if first is None:
+                first = by_object[id(degree)] = first_seen.setdefault(degree, len(first_seen))
+            seen.append(first)
+        ascending = sorted(first_seen)
+        rank_of_seen = [0] * len(ascending)
+        for rank, degree in enumerate(ascending, 1):
+            rank_of_seen[first_seen[degree]] = rank
+        self.levels: tuple[Degree, ...] = (algebra.bottom, *ascending)
+
+        out: list[dict[str, dict[int, int]]] = [{} for _ in range(self.n)]
+        ranked: list[tuple[int, str, int, int]] = []
+        for (s, label, t, _), first in zip(edges, seen):
+            rank = rank_of_seen[first]
             per_label = out[s].setdefault(label, {})
             if t in per_label:
-                raise UsageError(f"duplicate edge ({sname},{label},{tname})")
-            per_label[t] = degree
-            edge_list.append((s, label, t, degree))
-            edge_labels.add(label)
-        self.edge_label_names: tuple[str, ...] = tuple(sorted(edge_labels))
-        self.edges: tuple[tuple[int, str, int, Degree], ...] = tuple(edge_list)
+                raise UsageError(f"duplicate edge ({names[s]},{label},{names[t]})")
+            per_label[t] = rank
+            ranked.append((s, label, t, rank))
+        self.edge_label_names: tuple[str, ...] = tuple(sorted({e[1] for e in ranked}))
+        self._edges: tuple[tuple[int, str, int, int], ...] = tuple(ranked)
         self._out = tuple(out)
-        self._in_cache: dict[str, tuple[tuple[tuple[int, Degree], ...], ...]] = {}
+        self._in: dict[str, tuple[tuple[tuple[int, int], ...], ...]] | None = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, str, int, Degree], ...]:
+        """(source, label, target, degree) for every edge, in input order."""
+        levels = self.levels
+        return tuple((s, label, t, levels[rank]) for s, label, t, rank in self._edges)
 
     def vertex_id(self, name: str) -> int:
         try:
@@ -80,20 +144,21 @@ class FuzzyGraph:
         """Targets and degrees of v's outgoing `label` edges (absent = bottom)."""
         self._check_vertex(v)
         self._check_label(label)
-        return self._out[v].get(label, {})
+        levels = self.levels
+        return {t: levels[rank] for t, rank in self._out[v].get(label, {}).items()}
 
-    def incoming(self, label: str) -> tuple[tuple[tuple[int, Degree], ...], ...]:
-        """Per-vertex incoming (source, degree) lists for one edge label; cached."""
+    def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex incoming (source, rank) lists for one edge label, in
+        edge order; built for every label on the first call."""
         self._check_label(label)
-        cached = self._in_cache.get(label)
-        if cached is None:
-            acc: list[list[tuple[int, Degree]]] = [[] for _ in range(self.n)]
-            for s, lab, t, degree in self.edges:
-                if lab == label:
-                    acc[t].append((s, degree))
-            cached = tuple(tuple(lst) for lst in acc)
-            self._in_cache[label] = cached
-        return cached
+        if self._in is None:
+            acc: dict[str, list[list[tuple[int, int]]]] = {
+                lab: [[] for _ in range(self.n)] for lab in self.edge_label_names
+            }
+            for s, lab, t, rank in self._edges:
+                acc[lab][t].append((s, rank))
+            self._in = {lab: tuple(map(tuple, lists)) for lab, lists in acc.items()}
+        return self._in[label]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -108,18 +173,14 @@ class FuzzyGraph:
         targets = set(targets)
         for t in targets:
             self._check_vertex(t)
-        per_label = self.out_edges(v, label)
-        best = self.algebra.bottom
+        self._check_vertex(v)
+        self._check_label(label)
+        per_label = self._out[v].get(label, {})
         if len(per_label) <= len(targets):
-            for t, degree in per_label.items():
-                if t in targets and degree > best:
-                    best = degree
+            ranks = [rank for t, rank in per_label.items() if t in targets]
         else:
-            for t in targets:
-                degree = per_label.get(t)
-                if degree is not None and degree > best:
-                    best = degree
-        return best
+            ranks = [per_label[t] for t in targets if t in per_label]
+        return self.levels[max(ranks, default=0)]
 
     def label_vector(self, v: int) -> tuple[Degree, ...]:
         """Dense label degrees of v, in sorted label-name order."""
@@ -132,22 +193,17 @@ class FuzzyGraph:
         """Group vertices by label vector and per-label sup of all outgoing degrees."""
         if self.n == 0:
             raise UsageError("graph has no vertices")
-        bottom = self.algebra.bottom
         groups: dict[tuple, list[int]] = {}
         for v in range(self.n):
+            out = self._out[v]
             sups = tuple(
-                max(self._out[v].get(label, {}).values(), default=bottom)
-                for label in self.edge_label_names
+                max(out.get(label, {}).values(), default=0) for label in self.edge_label_names
             )
             groups.setdefault((self.label_vector(v), sups), []).append(v)
         return Partition(groups.values(), self.n)
 
     def stats(self) -> GraphStats:
-        return GraphStats(
-            n=self.n,
-            m=len(self.edges),
-            l=len({degree for _, _, _, degree in self.edges}),
-        )
+        return GraphStats(n=self.n, m=len(self._edges), l=len(self.levels) - 1)
 
 
 def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:
@@ -161,17 +217,21 @@ def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:
     """
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise UsageError("graph document must be a JSON object with a \"vertices\" list")
-    edges = []
-    for entry in doc.get("edges", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+    vertices, edges = doc["vertices"], doc.get("edges", [])
+    vertex_labels = doc.get("vertex_labels", {})
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise UsageError('"vertices" must be a list of vertex names')
+    if not isinstance(vertex_labels, dict) or not all(
+        isinstance(assignment, dict) for assignment in vertex_labels.values()
+    ):
+        raise UsageError('"vertex_labels" must be an object of {label: degree} objects')
+    if not isinstance(edges, list):
+        raise UsageError('"edges" must be a list of [from, label, to, degree] lists')
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 4
+                and all(isinstance(part, str) for part in entry[:3])):
             raise UsageError(f"edge entry {entry!r} must be [from, label, to, degree]")
-        edges.append(tuple(entry))
-    return FuzzyGraph(
-        algebra,
-        doc["vertices"],
-        doc.get("vertex_labels", {}),
-        edges,
-    )
+    return FuzzyGraph(algebra, vertices, vertex_labels, edges)
 
 
 def load_graph(path: str, algebra: Algebra) -> FuzzyGraph:

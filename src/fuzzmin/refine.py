@@ -3,9 +3,11 @@
 `compcb` computes the coarsest stable refinement of a graph's initial
 partition (the partition corresponding to the largest crisp
 auto-bisimulation), processing smaller halves first so the total work is
-O((m log l + n) log n).  `split` is the underlying refinement primitive,
-exposed on its own, and `naive_coarsest_stable_refinement` is a direct
-fixpoint computation used as a differential oracle for the engine.
+O((m log l + n) log n).  The engine only compares degrees, so it works on
+the graph's degree ranks (`FuzzyGraph.levels`), not on the degrees.
+`split` is the underlying refinement primitive, exposed on its own, and
+`naive_coarsest_stable_refinement` is a direct fixpoint computation on
+the degrees, used as a differential oracle for the engine.
 """
 
 from __future__ import annotations
@@ -110,19 +112,19 @@ def split(g: "FuzzyGraph", p: Partition, y_prime: Iterable[int], y: Iterable[int
     _as_union_of_blocks(p, yp, "y_prime")
     incoming = g.incoming(label)
 
-    bottom = g.algebra.bottom
-    sup_prime: dict[int, "Degree"] = {}
-    sup_rest: dict[int, "Degree"] = {}
+    # degree ranks stand in for degrees: 0 is bottom
+    sup_prime: dict[int, int] = {}
+    sup_rest: dict[int, int] = {}
     for t in sorted(yfull):
         acc = sup_prime if t in yp else sup_rest
-        for s, degree in incoming[t]:
-            if degree > acc.get(s, bottom):
-                acc[s] = degree
+        for s, rank in incoming[t]:
+            if rank > acc.get(s, 0):
+                acc[s] = rank
     new_blocks: list[list[int]] = []
     for block in p.blocks:
         groups: dict[tuple, list[int]] = {}
         for v in sorted(block):
-            key = (sup_prime.get(v, bottom), sup_rest.get(v, bottom))
+            key = (sup_prime.get(v, 0), sup_rest.get(v, 0))
             groups.setdefault(key, []).append(v)
         new_blocks.extend(groups.values())
     return Partition(new_blocks, p.n)
@@ -134,7 +136,10 @@ class _PBlock:
     def __init__(self, bid: int, verts: set[int]):
         self.bid = bid
         self.verts = verts
-        self.qref: list["_QBlock"] = []
+        # per label, the qid of the Q-block holding this block: ids, not the
+        # Q-blocks themselves, so that blocks and Q-blocks form no reference
+        # cycle and a finished run is freed at once, not by the cyclic GC
+        self.qref: list[int] = []
 
 
 class _QBlock:
@@ -161,15 +166,14 @@ class _Refiner:
             raise UsageError("graph has no vertices")
         self.g = g
         self.debug = debug
-        self.bottom = g.algebra.bottom
         self.labels = g.edge_label_names
         self.next_bid = 0
         self.next_qid = 0
         self.pblocks: dict[int, _PBlock] = {}
         self.qblocks: dict[int, _QBlock] = {}
         self.vblock: list[_PBlock] = [None] * g.n  # type: ignore[list-item]
-        # one aggregate per (source, target Q-block) holding that source's
-        # edge degrees into the block, per the Q-block's own label
+        # one aggregate per (source, target Q-block) holding the ranks of that
+        # source's edge degrees into the block, per the Q-block's own label
         self.agg: dict[tuple[int, int], DegreeAggregate] = {}
         self.queues: list[deque[_QBlock]] = [deque() for _ in self.labels]
 
@@ -180,11 +184,14 @@ class _Refiner:
         for li, label in enumerate(self.labels):
             qb = self._new_qblock(li, dict(self.pblocks))
             for pb in self.pblocks.values():
-                pb.qref.append(qb)
-            for v in range(g.n):
-                out = g.out_edges(v, label)
-                if out:
-                    self.agg[(v, qb.qid)] = DegreeAggregate(out.values())
+                pb.qref.append(qb.qid)
+            agg = self.agg
+            for sources in g.incoming(label):
+                for x, rank in sources:
+                    aggregate = agg.get((x, qb.qid))
+                    if aggregate is None:
+                        aggregate = agg[(x, qb.qid)] = DegreeAggregate()
+                    aggregate.add(rank)
             self._enqueue_if_compound(qb)
 
     def _new_pblock(self, verts: set[int]) -> _PBlock:
@@ -250,31 +257,34 @@ class _Refiner:
         label = self.labels[li]
         del qb.pblocks[y_prime_pb.bid]
         new_qb = self._new_qblock(li, {y_prime_pb.bid: y_prime_pb})
-        y_prime_pb.qref[li] = new_qb
+        y_prime_pb.qref[li] = new_qb.qid
         self._enqueue_if_compound(qb)
 
-        # move the degrees of edges into y_prime out of the old aggregates
+        # move the ranks of edges into y_prime out of the old aggregates
         incoming = self.g.incoming(label)
+        agg = self.agg
+        old_qid, new_qid = qb.qid, new_qb.qid
         affected: dict[int, None] = {}
         for y in y_prime_pb.verts:
-            for x, degree in incoming[y]:
-                old = self.agg[(x, qb.qid)]
-                old.remove(degree)
+            for x, rank in incoming[y]:
+                old = agg[(x, old_qid)]
+                old.remove(rank)
                 if not old:
-                    del self.agg[(x, qb.qid)]
-                new = self.agg.get((x, new_qb.qid))
+                    del agg[(x, old_qid)]
+                new = agg.get((x, new_qid))
                 if new is None:
-                    new = self.agg[(x, new_qb.qid)] = DegreeAggregate()
-                new.add(degree)
+                    new = agg[(x, new_qid)] = DegreeAggregate()
+                new.add(rank)
                 affected[x] = None
 
         # group affected sources by their (sup into y_prime, sup into rest) pair
         groups: dict[int, dict[tuple, list[int]]] = {}
+        vblock = self.vblock
         for x in affected:
-            sup_prime = self.agg[(x, new_qb.qid)].max()
-            rest = self.agg.get((x, qb.qid))
-            sup_rest = rest.max() if rest else self.bottom
-            groups.setdefault(self.vblock[x].bid, {}).setdefault(
+            sup_prime = agg[(x, new_qid)].max()
+            rest = agg.get((x, old_qid))
+            sup_rest = rest.max() if rest else 0
+            groups.setdefault(vblock[x].bid, {}).setdefault(
                 (sup_prime, sup_rest), []).append(x)
 
         changed = False
@@ -294,13 +304,14 @@ class _Refiner:
                 for v in verts:
                     pb.verts.remove(v)
                     self.vblock[v] = new_pb
-                for ref in new_pb.qref:
+                for qid in new_pb.qref:
+                    ref = self.qblocks[qid]
                     ref.pblocks[new_pb.bid] = new_pb
                     self._enqueue_if_compound(ref)
         return changed
 
     def _check_aggregates(self) -> None:
-        """Debug invariant: every aggregate max equals a fresh sup computation."""
+        """Debug invariant: every aggregate max is the rank of a fresh sup computation."""
         blocks_seen: dict[int, frozenset[int]] = {}
         for (x, qid), aggregate in self.agg.items():
             qb = self.qblocks[qid]
@@ -308,9 +319,8 @@ class _Refiner:
             if verts is None:
                 verts = blocks_seen[qid] = qb.vertices()
             fresh = self.g.sup_degree(x, self.labels[qb.label_idx], verts)
-            assert aggregate.max() == fresh, (
-                f"aggregate for ({x}, q{qid}) holds {aggregate.max()}, expected {fresh}"
-            )
+            held = self.g.levels[aggregate.max()]
+            assert held == fresh, f"aggregate for ({x}, q{qid}) holds {held}, expected {fresh}"
 
 
 def compcb(

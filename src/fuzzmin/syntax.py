@@ -117,6 +117,9 @@ class _Parser:
         self.phi = phi
         self.i = 0
         self.depth = 0
+        # (token index, depth) -> (node or ParseError, token index after it)
+        # for the groups parsed in role position
+        self.groups: dict[tuple[int, int], tuple] = {}
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -272,25 +275,49 @@ class _Parser:
             self.advance()
             return RoleName(value)
         if kind == "(":
-            saved = self.i
-            self.advance()
-            try:
-                node = self.role()
-                self.expect(")")
-                if self.peek() == "?":
-                    # '(C | D) ?': the group parsed as a role ('|' is a role
-                    # operator too) but a trailing '?' means it was a concept
-                    raise ParseError("group before '?' is a concept", self.pos())
-                return node
-            except ParseError:
-                self.i = saved
-            self.advance()
-            concept = self.concept()
-            self.expect(")")
-            return _PendingConcept(concept, pos)
+            return self.role_group()
         if kind in _CONCEPT_STARTERS or kind in ("number", "{"):
             return _PendingConcept(self.concept_unary(), pos)
         raise ParseError(f"expected a role, found {value or 'end of input'!r}", pos)
+
+    def role_group(self):
+        """A parenthesised group in role position: a role, or else a concept
+        for a later '?'.  When the role reading fails, the group is parsed
+        again as a concept, and so are the groups nested in it.  The outcome
+        of a group depends only on its start and the nesting depth, so it is
+        kept per (start, depth): each group is parsed at most once per depth,
+        and with depth capped at MAX_NESTING, nested groups take linear, not
+        exponential, time."""
+        key = (self.i, self.depth)
+        if key not in self.groups:
+            try:
+                outcome = self.role_or_concept_group()
+            except ParseError as exc:
+                outcome = exc
+            self.groups[key] = (outcome, self.i)
+        outcome, self.i = self.groups[key]
+        if isinstance(outcome, ParseError):
+            raise outcome.with_traceback(None)
+        return outcome
+
+    def role_or_concept_group(self):
+        saved = self.i
+        pos = self.pos()
+        self.advance()
+        try:
+            node = self.role()
+            self.expect(")")
+            if self.peek() == "?":
+                # '(C | D) ?': the group parsed as a role ('|' is a role
+                # operator too) but a trailing '?' means it was a concept
+                raise ParseError("group before '?' is a concept", self.pos())
+            return node
+        except ParseError:
+            self.i = saved
+        self.advance()
+        concept = self.concept()
+        self.expect(")")
+        return _PendingConcept(concept, pos)
 
 
 def parse_concept(text: str, phi: FeatureSet) -> ConceptNode:

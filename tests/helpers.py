@@ -97,6 +97,31 @@ def blocks_by_names(partition, names) -> set[frozenset[str]]:
     return {frozenset(names[v] for v in block) for block in partition.blocks}
 
 
+def graph_by_names(i, phi) -> FuzzyGraph:
+    """The graph encoding of an interpretation, built through the validating
+    name-based constructor: the oracle for `interpretation_to_graph`."""
+    vertex_labels: dict = {}
+    for cname in i.concept_names:
+        for x in range(i.n):
+            degree = i.concept_degree(cname, x)
+            if degree != i.algebra.bottom:
+                vertex_labels.setdefault(i.names[x], {})[cname] = degree
+    if phi.nominal:
+        for a in i.individual_names:
+            vertex_labels.setdefault(i.names[i.individuals[a]], {})[a] = i.algebra.top
+    edges = []
+    for rname in i.role_names:
+        for (x, y), degree in i.role_instances(rname).items():
+            edges.append((i.names[x], rname, i.names[y], degree))
+    if phi.inverse:
+        for rname in i.role_names:
+            if rname + "-" in i.role_names:
+                raise UsageError(f"role name {rname + '-'!r} collides with an inverse label")
+            for (x, y), degree in i.role_instances(rname).items():
+                edges.append((i.names[y], rname + "-", i.names[x], degree))
+    return FuzzyGraph(i.algebra, i.names, vertex_labels, edges)
+
+
 # --- dense oracle ------------------------------------------------------------
 
 def dense_role_matrix(i, role) -> list[list]:

@@ -270,6 +270,22 @@ def test_malformed_interpretation_exits_2(name, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+MALFORMED_GRAPHS = {
+    "vertices-string": '{"vertices": "uv"}',
+    "vertex-labels-list": '{"vertices": ["u"], "vertex_labels": {"u": ["A"]}}',
+    "vertices-nested": '{"vertices": [["u"]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_GRAPHS[name])
+    for command in (["partition"], ["stats"]):
+        assert main(command + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("expr", ["not " * 5000 + "A", "(" * 3000 + "A" + ")" * 3000],
                          ids=["not", "parentheses"])
 def test_eval_rejects_deep_nesting(expr, chain_file, capsys):

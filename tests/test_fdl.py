@@ -41,7 +41,7 @@ from fuzzmin.fdl import (
 )
 from fuzzmin.algebra import bundled_lattice_path, load_lattice
 from fuzzmin.generate import GeneratorParams, random_concept, random_interpretation, random_role
-from fuzzmin.syntax import parse_role
+from fuzzmin.syntax import parse_concept, parse_role
 from helpers import (
     PHI_I,
     PHI_IO,
@@ -52,6 +52,7 @@ from helpers import (
     collapsed_twin,
     dense_concept_values,
     dense_role_matrix,
+    graph_by_names,
     two_component_interp,
 )
 
@@ -147,6 +148,30 @@ def test_test_role_is_diagonal():
                 assert rows[x][y] == eval_concept(i, ConceptName("A"), PHI_PSI)[x]
             else:
                 assert rows[x][y] == F(0)
+
+
+def test_test_concept_evaluated_once_per_evaluation(monkeypatch):
+    from fuzzmin import fdl
+
+    i = chain_interp(GODEL)
+    full = FeatureSet.full()
+    node = parse_concept("some ((some r* . A)? ; r)* . A", full)
+    inner = node.role.child.left.concept  # some r* . A
+    calls = []
+    original = fdl._concept_values
+
+    def counting(interp, concept, tests):
+        if concept is inner:
+            calls.append(concept)
+        return original(interp, concept, tests)
+
+    monkeypatch.setattr(fdl, "_concept_values", counting)
+    assert eval_concept(i, node, full) == dense_concept_values(i, node)
+    assert len(calls) == 1
+    calls.clear()
+    role = node.role
+    assert eval_role(i, role, full) == dense_role_matrix(i, role)
+    assert len(calls) == 1  # once for all the columns, too
 
 
 def test_constant_concept_everywhere():
@@ -313,6 +338,24 @@ def test_encoding_rejects_colliding_inverse_label():
     i = Interpretation(GODEL, ["x"], roles={"r": [("x", "x", "1")], "r-": [("x", "x", "1")]})
     with pytest.raises(UsageError):
         interpretation_to_graph(i, PHI_I)
+
+
+def test_encoding_from_ids_matches_name_built_graph():
+    full = FeatureSet.full()
+    params = GeneratorParams(n_min=2, n_max=12, edge_factor=3, pool_size=5)
+    for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):
+        for seed in range(10):
+            i = random_interpretation(params, 40 * k + seed, alg)
+            fast, slow = interpretation_to_graph(i, full), graph_by_names(i, full)
+            assert fast.names == slow.names
+            assert fast.vertex_label_names == slow.vertex_label_names
+            assert fast.edge_label_names == slow.edge_label_names
+            assert fast.edges == slow.edges
+            assert fast.stats() == slow.stats()
+            assert fast.initial_partition() == slow.initial_partition()
+    clash = Interpretation(GODEL, ["x"], roles={"r": [("x", "x", "1")], "r-": [("x", "x", "1")]})
+    with pytest.raises(UsageError):
+        interpretation_to_graph(clash, full)
 
 
 # --- quotient / minimize ---------------------------------------------------------

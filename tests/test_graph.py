@@ -87,6 +87,20 @@ def test_initial_partition_groups_have_equal_labels_and_sups():
                 )
 
 
+def test_levels_and_ranked_incoming():
+    g = collapse_graph(GODEL)
+    assert g.levels == (F(0), F("0.6"), F("0.7"), F("0.8"), F("0.9"))
+    u, v, w = (g.vertex_id(x) for x in "uvw")
+    incoming = g.incoming("r")
+    assert incoming[u] == ()
+    assert incoming[v] == ((u, 2), (v, 1), (w, 3))
+    assert incoming[w] == ((u, 4), (v, 3))
+    # degrees, not ranks, at the public boundary
+    assert g.out_edges(u, "r") == {v: F("0.7"), w: F("0.9")}
+    assert g.edges[0] == (u, "r", v, F("0.7"))
+    assert FuzzyGraph(GODEL, ["x"]).levels == (F(0),)
+
+
 def test_stats_goldens():
     stats = collapse_graph(GODEL).stats()
     assert (stats.n, stats.m, stats.l) == (3, 5, 4)

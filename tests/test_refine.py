@@ -196,6 +196,49 @@ def test_compcb_equals_oracle_on_random_graphs():
         assert fast.refines(g.initial_partition()), f"case {k}"
 
 
+def test_compcb_equals_oracle_with_many_distinct_degrees():
+    # up to 40 distinct degrees per graph on the unit interval, all of
+    # godel5's on the finite chain: the engine's degree ranks against the
+    # oracle's raw degrees
+    params = GeneratorParams(n_min=2, n_max=30, edge_factor=5, pool_size=40,
+                             vertex_labels=1, edge_labels=2)
+    backends = [
+        make_algebra("product"),
+        make_algebra("lukasiewicz"),
+        load_lattice(bundled_lattice_path("godel5")),
+    ]
+    most_levels = 0
+    for k in range(30):
+        g = random_graph(params, 2000 + k, backends[k % len(backends)])
+        most_levels = max(most_levels, g.stats().l)
+        fast = compcb(g, debug=(k % 4 == 0))
+        assert fast == naive_coarsest_stable_refinement(g), f"case {k}"
+        assert is_stable(g, fast), f"case {k}"
+    assert most_levels >= 30
+
+
+def test_order_preserving_relabelling_keeps_partition():
+    # the engine only compares degrees, so squaring every degree (strictly
+    # increasing on [0, 1]) must not change the partition
+    params = GeneratorParams(n_min=2, n_max=25, edge_factor=4, pool_size=12,
+                             vertex_labels=2, edge_labels=2)
+    for k in range(20):
+        alg = make_algebra("product" if k % 2 else "godel")
+        g = random_graph(params, 3000 + k, alg)
+        squared = FuzzyGraph(
+            alg,
+            g.names,
+            {
+                g.names[v]: {label: d * d for label, d in zip(g.vertex_label_names,
+                                                                g.label_vector(v))}
+                for v in range(g.n)
+            },
+            [(g.names[s], label, g.names[t], d * d) for s, label, t, d in g.edges],
+        )
+        assert squared.levels == tuple(d * d for d in g.levels)
+        assert compcb(squared, debug=(k % 5 == 0)) == compcb(g), f"case {k}"
+
+
 def test_iteration_count_bounded():
     params = GeneratorParams(n_min=2, n_max=20, edge_factor=5, pool_size=6,
                              vertex_labels=2, edge_labels=3)
