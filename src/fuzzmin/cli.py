@@ -2,8 +2,9 @@
 
 Subcommands: minimize, partition, eval, check, verify, stats.  Exit codes:
 0 success, 1 verification/check failure, 2 usage or parse error, 3 I/O
-error.  Data outputs are byte-deterministic for identical inputs and
-flags; timing lines go to stderr.
+error, 4 internal error (a fault in fuzzmin itself, reported as one line
+on stderr, never as a traceback).  Data outputs are byte-deterministic for
+identical inputs and flags; timing lines go to stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _features(arg: str) -> FeatureSet:
@@ -349,6 +351,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        detail = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Degree, read_json
+from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
 from .graph import FuzzyGraph
 from .partition import Partition
@@ -246,6 +246,10 @@ class Interpretation:
     Concept assignments default to bottom for unlisted elements; role
     assignments are sparse and hold strictly positive degrees only.
     Treated as immutable after construction.
+
+    The constructor takes names and degree text and validates both; it is
+    the boundary for JSON documents and generators.  Each distinct degree
+    text is parsed once per interpretation.
     """
 
     def __init__(
@@ -258,46 +262,76 @@ class Interpretation:
     ):
         if not domain:
             raise UsageError("interpretation domain must be non-empty")
-        self.algebra = algebra
-        self.names: tuple[str, ...] = tuple(domain)
-        if len(set(self.names)) != len(self.names):
-            raise UsageError("duplicate element names in domain")
-        self._id = {name: i for i, name in enumerate(self.names)}
-        self.n = len(self.names)
+        names = tuple(domain)
+        self._id = _element_ids(names)
+        element_id = self.element_id
+        parse = degree_parser(algebra)
+        bottom = algebra.bottom
 
-        self.individuals: dict[str, int] = {}
-        for a, elem in (individuals or {}).items():
-            self.individuals[a] = self.element_id(elem)
-        self.individual_names: tuple[str, ...] = tuple(sorted(self.individuals))
+        individual_ids = {a: element_id(elem) for a, elem in (individuals or {}).items()}
 
-        self._concepts: dict[str, dict[int, Degree]] = {}
+        concept_tables: dict[str, dict[int, Degree]] = {}
         for cname, assignment in (concepts or {}).items():
             table: dict[int, Degree] = {}
             for elem, degree in assignment.items():
-                degree = algebra.parse_degree(degree)
-                if degree != algebra.bottom:
-                    table[self.element_id(elem)] = degree
-            self._concepts[cname] = table
-        self.concept_names: tuple[str, ...] = tuple(sorted(self._concepts))
+                degree = parse(degree)
+                if degree != bottom:
+                    table[element_id(elem)] = degree
+            concept_tables[cname] = table
 
-        self._roles: dict[str, dict[tuple[int, int], Degree]] = {}
+        role_tables: dict[str, dict[tuple[int, int], Degree]] = {}
         for rname, instances in (roles or {}).items():
             table2: dict[tuple[int, int], Degree] = {}
             for entry in instances:
                 if len(entry) != 3:
                     raise UsageError(f"role instance {entry!r} must be [from, to, degree]")
                 src, tgt, degree = entry
-                degree = algebra.parse_degree(degree)
-                if degree == algebra.bottom:
+                degree = parse(degree)
+                if degree == bottom:
                     raise UsageError(
                         f"role instance {rname}({src},{tgt}) has degree 0; omit zero instances"
                     )
-                key = (self.element_id(src), self.element_id(tgt))
+                key = (element_id(src), element_id(tgt))
                 if key in table2:
                     raise UsageError(f"duplicate role instance {rname}({src},{tgt})")
                 table2[key] = degree
-            self._roles[rname] = table2
-        self.role_names: tuple[str, ...] = tuple(sorted(self._roles))
+            role_tables[rname] = table2
+        self._build(algebra, names, individual_ids, concept_tables, role_tables)
+
+    @classmethod
+    def _from_ids(
+        cls,
+        algebra: Algebra,
+        names: tuple[str, ...],
+        individuals: dict[str, int],
+        concepts: dict[str, dict[int, Degree]],
+        roles: dict[str, dict[tuple[int, int], Degree]],
+    ) -> "Interpretation":
+        """An interpretation from element ids and degrees that are already
+        checked: concept tables hold no bottom degrees, role tables no zero
+        degrees.  Element names are still checked for duplicates."""
+        i = cls.__new__(cls)
+        i._id = _element_ids(names)
+        i._build(algebra, names, individuals, concepts, roles)
+        return i
+
+    def _build(
+        self,
+        algebra: Algebra,
+        names: tuple[str, ...],
+        individuals: dict[str, int],
+        concepts: dict[str, dict[int, Degree]],
+        roles: dict[str, dict[tuple[int, int], Degree]],
+    ) -> None:
+        self.algebra = algebra
+        self.names: tuple[str, ...] = names
+        self.n = len(names)
+        self.individuals: dict[str, int] = individuals
+        self.individual_names: tuple[str, ...] = tuple(sorted(individuals))
+        self._concepts: dict[str, dict[int, Degree]] = concepts
+        self.concept_names: tuple[str, ...] = tuple(sorted(concepts))
+        self._roles: dict[str, dict[tuple[int, int], Degree]] = roles
+        self.role_names: tuple[str, ...] = tuple(sorted(roles))
 
         vocab = [("concept", n) for n in self.concept_names]
         vocab += [("role", n) for n in self.role_names]
@@ -357,6 +391,13 @@ class Interpretation:
         if phi.inverse:
             keys += [(r, True) for r in self.role_names]
         return keys
+
+
+def _element_ids(names: tuple[str, ...]) -> dict[str, int]:
+    ids = {name: x for x, name in enumerate(names)}
+    if len(ids) != len(names):
+        raise UsageError("duplicate element names in domain")
+    return ids
 
 
 def _check_signatures(i1: Interpretation, i2: Interpretation) -> None:
@@ -669,43 +710,41 @@ def quotient(i: Interpretation, p: Partition, g: FuzzyGraph | None = None) -> In
     Concept degrees come from an arbitrary block member and role degrees
     are the largest degree from any member into the target block; both are
     well defined when p is the stable partition computed for i's graph
-    encoding.
+    encoding.  Blocks are ordered, and named, as `p.to_names` renders them.
     """
     if p.n != i.n or (g is not None and g.n != i.n):
         raise UsageError("partition does not cover the interpretation domain")
-    member_lists = p.to_names(i.names)
-    domain = [block_name(members) for members in member_lists]
-    elem_to_block: dict[int, int] = {}
-    for bi, members in enumerate(member_lists):
-        for name in members:
-            elem_to_block[i.element_id(name)] = bi
+    names = i.names
+    name_of = names.__getitem__
+    member_ids = sorted(
+        (sorted(block, key=name_of) for block in p.blocks), key=lambda ids: names[ids[0]]
+    )
+    block_of = [0] * i.n
+    for bi, ids in enumerate(member_ids):
+        for x in ids:
+            block_of[x] = bi
+    firsts = [ids[0] for ids in member_ids]
 
-    individuals = {a: domain[elem_to_block[x]] for a, x in i.individuals.items()}
-    concepts = {
-        cname: {
-            domain[bi]: i.concept_degree(cname, i.element_id(members[0]))
-            for bi, members in enumerate(member_lists)
-        }
-        for cname in i.concept_names
-    }
-    roles: dict[str, dict[tuple[str, str], Degree]] = {}
+    concepts: dict[str, dict[int, Degree]] = {}
+    for cname in i.concept_names:
+        table = i._concepts[cname]
+        concepts[cname] = {bi: table[x] for bi, x in enumerate(firsts) if x in table}
+    roles: dict[str, dict[tuple[int, int], Degree]] = {}
     for rname in i.role_names:
-        table: dict[tuple[str, str], Degree] = {}
+        sups: dict[tuple[int, int], Degree] = {}
         for (x, y), degree in i.role_instances(rname).items():
-            key = (domain[elem_to_block[x]], domain[elem_to_block[y]])
-            if degree > table.get(key, i.algebra.bottom):
-                table[key] = degree
-        roles[rname] = table
+            key = (block_of[x], block_of[y])
+            held = sups.get(key)
+            if held is None or degree > held:
+                sups[key] = degree
+        roles[rname] = sups
 
-    return Interpretation(
+    return Interpretation._from_ids(
         i.algebra,
-        domain,
-        individuals,
+        tuple(block_name(map(name_of, ids)) for ids in member_ids),
+        {a: block_of[x] for a, x in i.individuals.items()},
         concepts,
-        {
-            rname: [(src, tgt, degree) for (src, tgt), degree in table.items()]
-            for rname, table in roles.items()
-        },
+        roles,
     )
 
 
@@ -748,26 +787,23 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         frontier = sorted(nxt)
 
     keep = [x for x in range(i.n) if x in seen]
-    names = [i.names[x] for x in keep]
-    kept = set(keep)
+    new_id = {x: k for k, x in enumerate(keep)}
     concepts = {
-        cname: {
-            i.names[x]: degree
-            for x, degree in i._concepts[cname].items()
-            if x in kept
-        }
+        cname: {new_id[x]: degree for x, degree in i._concepts[cname].items() if x in new_id}
         for cname in i.concept_names
     }
     roles = {
-        rname: [
-            (i.names[x], i.names[y], degree)
+        rname: {
+            (new_id[x], new_id[y]): degree
             for (x, y), degree in i.role_instances(rname).items()
-            if x in kept and y in kept
-        ]
+            if x in new_id and y in new_id
+        }
         for rname in i.role_names
     }
-    individuals = {a: i.names[x] for a, x in i.individuals.items()}
-    return Interpretation(i.algebra, names, individuals, concepts, roles)
+    individuals = {a: new_id[x] for a, x in i.individuals.items()}
+    return Interpretation._from_ids(
+        i.algebra, tuple(i.names[x] for x in keep), individuals, concepts, roles
+    )
 
 
 # --- satisfaction ------------------------------------------------------------

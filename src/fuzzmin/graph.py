@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Degree, read_json
+from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import UsageError
 from .partition import Partition
 
@@ -47,12 +47,13 @@ class FuzzyGraph:
             raise UsageError("duplicate vertex names")
         self._id: dict[str, int] = {name: i for i, name in enumerate(names)}
 
+        parse = degree_parser(algebra)
         labels: list[dict[str, Degree]] = [{} for _ in names]
         label_names: set[str] = set()
         for vname, assignment in (vertex_labels or {}).items():
             v = self.vertex_id(vname)
             for label, degree in assignment.items():
-                degree = algebra.parse_degree(degree)
+                degree = parse(degree)
                 label_names.add(label)
                 if degree != algebra.bottom:
                     labels[v][label] = degree
@@ -60,7 +61,7 @@ class FuzzyGraph:
         checked: list[tuple[int, str, int, Degree]] = []
         for sname, label, tname, degree in edges:
             s, t = self.vertex_id(sname), self.vertex_id(tname)
-            degree = algebra.parse_degree(degree)
+            degree = parse(degree)
             if degree == algebra.bottom:
                 raise UsageError(
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"

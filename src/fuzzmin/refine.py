@@ -46,12 +46,15 @@ class DegreeAggregate:
         if count == 0:
             heapq.heappush(self._heap, -degree)
 
-    def remove(self, degree) -> None:
-        count = self._counts[degree]
+    def remove(self, degree) -> bool:
+        """Remove one copy of degree; True when the multiset is now empty."""
+        counts = self._counts
+        count = counts[degree]
         if count == 1:
-            del self._counts[degree]  # heap entry goes stale, max() skips it
-        else:
-            self._counts[degree] = count - 1
+            del counts[degree]  # heap entry goes stale, max() skips it
+            return not counts
+        counts[degree] = count - 1
+        return False
 
     def max(self):
         """Largest degree present, or None when empty."""
@@ -172,9 +175,10 @@ class _Refiner:
         self.pblocks: dict[int, _PBlock] = {}
         self.qblocks: dict[int, _QBlock] = {}
         self.vblock: list[_PBlock] = [None] * g.n  # type: ignore[list-item]
-        # one aggregate per (source, target Q-block) holding the ranks of that
-        # source's edge degrees into the block, per the Q-block's own label
-        self.agg: dict[tuple[int, int], DegreeAggregate] = {}
+        # per Q-block (indexed by qid), one aggregate per source holding the
+        # ranks of that source's edge degrees into the block, per the
+        # Q-block's own label; sources without such edges have no entry
+        self.agg: list[dict[int, DegreeAggregate]] = []
         self.queues: list[deque[_QBlock]] = [deque() for _ in self.labels]
 
         for block in g.initial_partition().blocks:
@@ -185,12 +189,12 @@ class _Refiner:
             qb = self._new_qblock(li, dict(self.pblocks))
             for pb in self.pblocks.values():
                 pb.qref.append(qb.qid)
-            agg = self.agg
+            aggs = self.agg[qb.qid]
             for sources in g.incoming(label):
                 for x, rank in sources:
-                    aggregate = agg.get((x, qb.qid))
+                    aggregate = aggs.get(x)
                     if aggregate is None:
-                        aggregate = agg[(x, qb.qid)] = DegreeAggregate()
+                        aggregate = aggs[x] = DegreeAggregate()
                     aggregate.add(rank)
             self._enqueue_if_compound(qb)
 
@@ -204,6 +208,7 @@ class _Refiner:
         qb = _QBlock(self.next_qid, label_idx, pblocks)
         self.next_qid += 1
         self.qblocks[qb.qid] = qb
+        self.agg.append({})
         return qb
 
     def _enqueue_if_compound(self, qb: _QBlock) -> None:
@@ -260,32 +265,28 @@ class _Refiner:
         y_prime_pb.qref[li] = new_qb.qid
         self._enqueue_if_compound(qb)
 
-        # move the ranks of edges into y_prime out of the old aggregates
+        # move the ranks of edges into y_prime out of the old aggregates; the
+        # sources with an aggregate into y_prime are the affected ones
         incoming = self.g.incoming(label)
-        agg = self.agg
-        old_qid, new_qid = qb.qid, new_qb.qid
-        affected: dict[int, None] = {}
+        old_aggs, new_aggs = self.agg[qb.qid], self.agg[new_qb.qid]
         for y in y_prime_pb.verts:
             for x, rank in incoming[y]:
-                old = agg[(x, old_qid)]
-                old.remove(rank)
-                if not old:
-                    del agg[(x, old_qid)]
-                new = agg.get((x, new_qid))
+                if old_aggs[x].remove(rank):
+                    del old_aggs[x]
+                new = new_aggs.get(x)
                 if new is None:
-                    new = agg[(x, new_qid)] = DegreeAggregate()
+                    new = new_aggs[x] = DegreeAggregate()
                 new.add(rank)
-                affected[x] = None
 
-        # group affected sources by their (sup into y_prime, sup into rest) pair
-        groups: dict[int, dict[tuple, list[int]]] = {}
+        # group affected sources by their (sup into y_prime, sup into rest)
+        # pair, as the one int sup_prime * width + sup_rest
+        width = len(self.g.levels)
+        groups: dict[int, dict[int, list[int]]] = {}
         vblock = self.vblock
-        for x in affected:
-            sup_prime = agg[(x, new_qid)].max()
-            rest = agg.get((x, old_qid))
-            sup_rest = rest.max() if rest else 0
-            groups.setdefault(vblock[x].bid, {}).setdefault(
-                (sup_prime, sup_rest), []).append(x)
+        for x, new in new_aggs.items():
+            rest = old_aggs.get(x)
+            key = new.max() * width + (rest.max() if rest is not None else 0)
+            groups.setdefault(vblock[x].bid, {}).setdefault(key, []).append(x)
 
         changed = False
         for bid, by_key in groups.items():
@@ -312,15 +313,15 @@ class _Refiner:
 
     def _check_aggregates(self) -> None:
         """Debug invariant: every aggregate max is the rank of a fresh sup computation."""
-        blocks_seen: dict[int, frozenset[int]] = {}
-        for (x, qid), aggregate in self.agg.items():
+        for qid, aggs in enumerate(self.agg):
+            if not aggs:
+                continue
             qb = self.qblocks[qid]
-            verts = blocks_seen.get(qid)
-            if verts is None:
-                verts = blocks_seen[qid] = qb.vertices()
-            fresh = self.g.sup_degree(x, self.labels[qb.label_idx], verts)
-            held = self.g.levels[aggregate.max()]
-            assert held == fresh, f"aggregate for ({x}, q{qid}) holds {held}, expected {fresh}"
+            verts = qb.vertices()
+            for x, aggregate in aggs.items():
+                fresh = self.g.sup_degree(x, self.labels[qb.label_idx], verts)
+                held = self.g.levels[aggregate.max()]
+                assert held == fresh, f"aggregate for ({x}, q{qid}) holds {held}, expected {fresh}"
 
 
 def compcb(

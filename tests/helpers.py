@@ -1,5 +1,7 @@
-"""Shared instance builders for the test suite, and the dense evaluator
-kept as the differential oracle for `eval_concept` and `eval_role`."""
+"""Shared instance builders for the test suite, the name-based builders kept
+as oracles for the id-built graph encoding, quotient and pruning, and the
+dense evaluator kept as the differential oracle for `eval_concept` and
+`eval_role`."""
 
 from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, UsageError
 from fuzzmin.fdl import (
@@ -21,6 +23,7 @@ from fuzzmin.fdl import (
     UnionRole,
     UniversalRole,
     _const_degree,
+    block_name,
 )
 
 # baseline feature configuration used by most golden tests
@@ -120,6 +123,68 @@ def graph_by_names(i, phi) -> FuzzyGraph:
             for (x, y), degree in i.role_instances(rname).items():
                 edges.append((i.names[y], rname + "-", i.names[x], degree))
     return FuzzyGraph(i.algebra, i.names, vertex_labels, edges)
+
+
+def quotient_by_names(i, p) -> Interpretation:
+    """The quotient built through element names and the validating
+    constructor: the oracle for `quotient`."""
+    member_lists = p.to_names(i.names)
+    domain = [block_name(members) for members in member_lists]
+    elem_to_block: dict[int, int] = {}
+    for bi, members in enumerate(member_lists):
+        for name in members:
+            elem_to_block[i.element_id(name)] = bi
+
+    individuals = {a: domain[elem_to_block[x]] for a, x in i.individuals.items()}
+    concepts = {
+        cname: {
+            domain[bi]: i.concept_degree(cname, i.element_id(members[0]))
+            for bi, members in enumerate(member_lists)
+        }
+        for cname in i.concept_names
+    }
+    roles: dict = {}
+    for rname in i.role_names:
+        table: dict = {}
+        for (x, y), degree in i.role_instances(rname).items():
+            key = (domain[elem_to_block[x]], domain[elem_to_block[y]])
+            if degree > table.get(key, i.algebra.bottom):
+                table[key] = degree
+        roles[rname] = [(src, tgt, degree) for (src, tgt), degree in table.items()]
+    return Interpretation(i.algebra, domain, individuals, concepts, roles)
+
+
+def prune_by_names(i, phi) -> Interpretation:
+    """`prune_unreachable` through element names and the validating
+    constructor, with its own breadth-first search: the oracle for it."""
+    keys = [(r, False) for r in i.role_names]
+    if phi.inverse:
+        keys += [(r, True) for r in i.role_names]
+    seen = set(i.individuals.values())
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for rname, inverted in keys:
+            for (s, t) in i.role_instances(rname):
+                source, target = (t, s) if inverted else (s, t)
+                if source == x and target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+    names = [i.names[x] for x in range(i.n) if x in seen]
+    concepts = {
+        cname: {i.names[x]: i.concept_degree(cname, x) for x in range(i.n) if x in seen}
+        for cname in i.concept_names
+    }
+    roles = {
+        rname: [
+            (i.names[x], i.names[y], degree)
+            for (x, y), degree in i.role_instances(rname).items()
+            if x in seen and y in seen
+        ]
+        for rname in i.role_names
+    }
+    individuals = {a: i.names[x] for a, x in i.individuals.items()}
+    return Interpretation(i.algebra, names, individuals, concepts, roles)
 
 
 # --- dense oracle ------------------------------------------------------------

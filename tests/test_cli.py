@@ -300,3 +300,16 @@ def test_eval_accepts_nesting_up_to_the_limit(chain_file, capsys):
                  "some " + "(" * deepest + "r" + ")*" * deepest + " . A"):
         assert main(["eval", "--input", chain_file, "--features", PSI_FLAG, expr, "a"]) == 0
     assert capsys.readouterr().out.split() == ["0", "1", "1"]
+
+
+def test_internal_error_exits_4_without_traceback(monkeypatch, graph_file, capsys):
+    from fuzzmin import cli
+
+    def broken(args):
+        raise RuntimeError("planted fault\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    assert main(["stats", "--input", graph_file]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: planted fault second line\n"
+    assert "Traceback" not in err

@@ -24,6 +24,7 @@ from fuzzmin import (
     eval_concept,
     eval_role,
     interpretation_to_graph,
+    interpretation_to_json,
     is_bisimulation,
     largest_bisimulation,
     minimize,
@@ -31,6 +32,7 @@ from fuzzmin import (
     quotient,
     satisfies,
 )
+from fuzzmin.partition import Partition
 from fuzzmin.fdl import (
     ComposeRole,
     ConstantConcept,
@@ -53,6 +55,8 @@ from helpers import (
     dense_concept_values,
     dense_role_matrix,
     graph_by_names,
+    prune_by_names,
+    quotient_by_names,
     two_component_interp,
 )
 
@@ -612,3 +616,59 @@ def test_random_preservation_sweep():
                                        list(i.role_names), list(i.individual_names), alg)
                     values = eval_concept(i, c, phi)
                     assert all(values[x] == values[y] for x, y in bisim)
+
+
+# --- id-built quotient and pruning -------------------------------------------------
+
+FULL_MINUS_UNIVERSAL = FeatureSet.from_names(
+    ["baaz", "comp", "union", "star", "test", "inverse", "nominal"]
+)
+
+
+def _random_partition(rng, n):
+    blocks: list[list[int]] = []
+    for x in rng.sample(range(n), n):
+        if blocks and rng.random() < 0.6:
+            rng.choice(blocks).append(x)
+        else:
+            blocks.append([x])
+    return Partition(blocks, n)
+
+
+def test_quotient_from_ids_matches_name_built_quotient():
+    full = FeatureSet.full()
+    params = GeneratorParams(n_min=2, n_max=14, edge_factor=3, pool_size=5, individual_count=2)
+    rng = random.Random("quotient-by-names")
+    for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):
+        for seed in range(12):
+            i = random_interpretation(params, 50 * k + seed, alg)
+            for phi in (full, PHI_PSI):
+                g = interpretation_to_graph(i, phi)
+                p = compcb(g)
+                assert interpretation_to_json(quotient(i, p, g)) == interpretation_to_json(
+                    quotient_by_names(i, p)
+                )
+            # any partition, stable or not: the first member in name order
+            # gives the concept degrees, the sup over members the role degrees
+            p = _random_partition(rng, i.n)
+            assert interpretation_to_json(quotient(i, p)) == interpretation_to_json(
+                quotient_by_names(i, p)
+            )
+
+
+def test_quotient_rejects_colliding_block_names():
+    i = Interpretation(GODEL, ["a", "b", "a,b"])
+    p = Partition([[0, 1], [2]], 3)  # both blocks are named "{a,b}"
+    for build in (quotient, quotient_by_names):
+        with pytest.raises(UsageError):
+            build(i, p)
+
+
+def test_prune_from_ids_matches_name_built_prune():
+    params = GeneratorParams(n_min=2, n_max=14, edge_factor=2, pool_size=4, individual_count=2)
+    for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):
+        for seed in range(12):
+            i = random_interpretation(params, 50 * k + seed, alg)
+            for phi in (FULL_MINUS_UNIVERSAL, PHI_PSI):
+                kept = prune_unreachable(i, phi)
+                assert interpretation_to_json(kept) == interpretation_to_json(prune_by_names(i, phi))

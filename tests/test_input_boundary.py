@@ -1,0 +1,197 @@
+"""The input boundary: each distinct degree text is parsed once per document
+without dropping a check, and every loader raises only UsageError."""
+
+import json
+import time
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fuzzmin import FeatureSet, FuzzyGraph, GodelAlgebra, Interpretation, UsageError
+from fuzzmin.algebra import bundled_lattice_path, degree_parser, load_lattice
+from fuzzmin.cli import main
+from fuzzmin.fdl import interpretation_from_json, load_relation
+from fuzzmin.graph import graph_from_json
+from fuzzmin.syntax import parse_concept
+
+GODEL = GodelAlgebra()
+GODEL5 = load_lattice(bundled_lattice_path("godel5"))
+
+
+# --- the degree memo keeps every check ------------------------------------------
+
+def test_equal_values_of_other_types_are_still_checked():
+    with pytest.raises(UsageError):
+        Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": 1, "y": 1.0}})
+    with pytest.raises(UsageError):
+        Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": "1", "y": 1.0}})
+    with pytest.raises(UsageError):
+        FuzzyGraph(GODEL, ["x", "y"], {"x": {"A": 1}, "y": {"A": 1.0}})
+    parse = degree_parser(GODEL5)
+    assert parse(3) == 3
+    with pytest.raises(UsageError):
+        parse(3.0)
+
+
+@pytest.mark.parametrize("alg", [GODEL, GODEL5], ids=["godel", "godel5"])
+def test_same_bad_text_raises_every_time(alg):
+    parse = degree_parser(alg)
+    for _ in range(2):
+        with pytest.raises(UsageError):
+            parse("2/0")
+        with pytest.raises(UsageError):
+            parse("7")
+
+
+def test_repeated_huge_exponent_exits_2_fast(tmp_path, capsys):
+    doc = {
+        "domain": [f"u{k}" for k in range(2000)],
+        "concepts": {"A": {f"u{k}": "1e999999999" for k in range(2000)}},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["minimize", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(UsageError):
+        degree_parser(GODEL)("1e999999999")
+
+
+def test_text_and_int_give_the_same_lattice_degree():
+    parse = degree_parser(GODEL5)
+    assert parse("3") == 3
+    assert parse(3) == 3
+    assert parse("3") == 3  # from the memo
+
+
+def test_equal_texts_share_one_degree_object():
+    i = Interpretation(
+        GODEL, ["u", "v", "w"],
+        concepts={"A": {"u": "0.5", "v": "0.5"}, "B": {"w": "0.5"}},
+        roles={"r": [("u", "v", "0.5"), ("v", "w", "0.5")]},
+    )
+    assert i.concept_degree("A", 0) == F(1, 2)
+    assert i.concept_degree("A", 0) is i.concept_degree("A", 1)
+    assert i.concept_degree("A", 0) is i.concept_degree("B", 2)
+    assert i.role_degree("r", 0, 1) is i.concept_degree("A", 0)
+    assert i.role_degree("r", 1, 2) is i.concept_degree("A", 0)
+    g = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "1/2"}, "v": {"A": "1/2"}},
+                   [("u", "r", "v", "1/2")])
+    assert g.label_vector(0)[0] is g.label_vector(1)[0] is g.levels[1]
+
+
+# --- fuzz: only UsageError out of the loaders ----------------------------------
+
+NAMES = st.sampled_from(["u", "v", "w", "A", "r", "s-", ""])
+DEGREE_TEXTS = st.sampled_from(
+    ["0", "1", "0.5", "1/2", "2", "-1", "1/0", "1e999999999", "1e-3", "nan", "inf", "3",
+     " 1", "0x1", "1_0", "١", "4/5", "0.800"]
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), NAMES, DEGREE_TEXTS,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.one_of(NAMES, st.text(max_size=3)), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+# read_json(exact=True) gives Fractions for bare decimals
+DEGREES = st.one_of(DEGREE_TEXTS, SCALARS, st.fractions())
+
+
+def _mostly(strategy):
+    """Values of strategy, or one time in eight any JSON-like value."""
+    return st.integers(0, 7).flatmap(lambda k: JSON_VALUES if k == 0 else strategy)
+
+
+INTERPRETATION_DOCS = _mostly(st.fixed_dictionaries(
+    {"domain": _mostly(st.lists(NAMES, min_size=1, max_size=6, unique=True))},
+    optional={
+        "individuals": _mostly(st.dictionaries(NAMES, NAMES, max_size=3)),
+        "concepts": _mostly(
+            st.dictionaries(NAMES, st.dictionaries(NAMES, DEGREES, max_size=4), max_size=3)
+        ),
+        "roles": _mostly(st.dictionaries(
+            NAMES, st.lists(_mostly(st.tuples(NAMES, NAMES, DEGREES).map(list)), max_size=4),
+            max_size=3,
+        )),
+    },
+))
+GRAPH_DOCS = _mostly(st.fixed_dictionaries(
+    {"vertices": _mostly(st.lists(NAMES, min_size=1, max_size=6, unique=True))},
+    optional={
+        "vertex_labels": _mostly(
+            st.dictionaries(NAMES, st.dictionaries(NAMES, DEGREES, max_size=3), max_size=3)
+        ),
+        "edges": _mostly(st.lists(
+            _mostly(st.tuples(NAMES, NAMES, NAMES, DEGREES).map(list)), max_size=4,
+        )),
+    },
+))
+ALGEBRAS = st.sampled_from([GODEL, GODEL5])
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _only_usage_errors(load, *args):
+    try:
+        load(*args)
+    except UsageError:
+        pass
+
+
+@FUZZ
+@given(doc=INTERPRETATION_DOCS, alg=ALGEBRAS)
+def test_fuzz_interpretation_from_json(doc, alg):
+    _only_usage_errors(interpretation_from_json, doc, alg)
+
+
+@FUZZ
+@given(doc=GRAPH_DOCS, alg=ALGEBRAS)
+def test_fuzz_graph_from_json(doc, alg):
+    _only_usage_errors(graph_from_json, doc, alg)
+
+
+RELATION_TEXTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.lists(st.lists(NAMES, max_size=3), max_size=4).map(json.dumps),
+    st.text(max_size=20),
+)
+LEFT = Interpretation(GODEL, ["u", "v"])
+RIGHT = Interpretation(GODEL, ["w", "A"])
+
+
+@pytest.fixture(scope="module")
+def relation_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("relation") / "relation.json"
+
+
+@FUZZ
+@given(data=st.one_of(RELATION_TEXTS.map(lambda text: text.encode("utf-8", "surrogatepass")),
+                      st.binary(max_size=20)))
+def test_fuzz_load_relation(relation_path, data):
+    relation_path.write_bytes(data)
+    _only_usage_errors(load_relation, str(relation_path), LEFT, RIGHT)
+
+
+EXPRESSION_TOKENS = st.sampled_from(
+    ["some", "all", "not", "tri", ".", "(", ")", "&", "|", "->", ";", "*", "?", "-", "{", "}",
+     "A", "r", "U", "0.5", "1/0", "1e999999999", "a", " "]
+)
+EXPRESSIONS = st.one_of(
+    st.text(max_size=30),
+    st.lists(EXPRESSION_TOKENS, max_size=25).map(" ".join),
+)
+
+
+@FUZZ
+@given(text=EXPRESSIONS, full=st.booleans())
+def test_fuzz_parse_concept(text, full):
+    phi = FeatureSet.full() if full else FeatureSet.from_names(["baaz"])
+    _only_usage_errors(parse_concept, text, phi)
