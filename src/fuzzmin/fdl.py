@@ -274,9 +274,10 @@ class Interpretation:
         for cname, assignment in (concepts or {}).items():
             table: dict[int, Degree] = {}
             for elem, degree in assignment.items():
+                v = element_id(elem)  # every name, also one with a bottom degree
                 degree = parse(degree)
                 if degree != bottom:
-                    table[element_id(elem)] = degree
+                    table[v] = degree
             concept_tables[cname] = table
 
         role_tables: dict[str, dict[tuple[int, int], Degree]] = {}

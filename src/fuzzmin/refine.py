@@ -8,6 +8,20 @@ the graph's degree ranks (`FuzzyGraph.levels`), not on the degrees.
 `split` is the underlying refinement primitive, exposed on its own, and
 `naive_coarsest_stable_refinement` is a direct fixpoint computation on
 the degrees, used as a differential oracle for the engine.
+
+The engine keeps its state in flat per-id lists, not objects, so a run
+builds no reference cycles and is freed on return.  Blocks and Q-blocks
+(the splitter blocks, one family per edge label) are never deleted, so
+their ids count up from 0:
+- `blk[v]` is the id of the block holding vertex v, `members[bid]` its
+  vertex set, and `qof[li][bid]` the id of the label-li Q-block holding it;
+- `qmembers[qid]` holds a Q-block's block ids in insertion order (a dict
+  used as an ordered set), `qlabel[qid]` its label index and `queued[qid]`
+  whether it waits in its label's queue;
+- `agg[qid][x]` aggregates the ranks of source x's edges into Q-block qid,
+  per its label: a bare int rank while one edge is counted, promoted to a
+  `DegreeAggregate` when a second edge arrives.  Sources without such
+  edges have no entry.
 """
 
 from __future__ import annotations
@@ -133,36 +147,9 @@ def split(g: "FuzzyGraph", p: Partition, y_prime: Iterable[int], y: Iterable[int
     return Partition(new_blocks, p.n)
 
 
-class _PBlock:
-    __slots__ = ("bid", "verts", "qref")
-
-    def __init__(self, bid: int, verts: set[int]):
-        self.bid = bid
-        self.verts = verts
-        # per label, the qid of the Q-block holding this block: ids, not the
-        # Q-blocks themselves, so that blocks and Q-blocks form no reference
-        # cycle and a finished run is freed at once, not by the cyclic GC
-        self.qref: list[int] = []
-
-
-class _QBlock:
-    __slots__ = ("qid", "label_idx", "pblocks", "queued")
-
-    def __init__(self, qid: int, label_idx: int, pblocks: dict[int, _PBlock]):
-        self.qid = qid
-        self.label_idx = label_idx
-        self.pblocks = pblocks  # insertion-ordered: bid -> block
-        self.queued = False
-
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for pb in self.pblocks.values():
-            out |= pb.verts
-        return frozenset(out)
-
-
 class _Refiner:
-    """Working state of one refinement run (single-threaded, single graph)."""
+    """Working state of one refinement run (single-threaded, single graph),
+    in the flat layout the module docstring describes."""
 
     def __init__(self, g: "FuzzyGraph", debug: bool = False):
         if g.n == 0:
@@ -170,158 +157,167 @@ class _Refiner:
         self.g = g
         self.debug = debug
         self.labels = g.edge_label_names
-        self.next_bid = 0
-        self.next_qid = 0
-        self.pblocks: dict[int, _PBlock] = {}
-        self.qblocks: dict[int, _QBlock] = {}
-        self.vblock: list[_PBlock] = [None] * g.n  # type: ignore[list-item]
-        # per Q-block (indexed by qid), one aggregate per source holding the
-        # ranks of that source's edge degrees into the block, per the
-        # Q-block's own label; sources without such edges have no entry
-        self.agg: list[dict[int, DegreeAggregate]] = []
-        self.queues: list[deque[_QBlock]] = [deque() for _ in self.labels]
+        initial = g.initial_partition()
+        self.members: list[set[int]] = [set(block) for block in initial.blocks]
+        self.blk: list[int] = [initial.block_index(v) for v in range(g.n)]
+        self.qof: list[list[int]] = []
+        self.qmembers: list[dict[int, None]] = []
+        self.qlabel: list[int] = []
+        self.queued: list[bool] = []
+        self.agg: list[dict[int, int | DegreeAggregate]] = []
+        self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
-        for block in g.initial_partition().blocks:
-            pb = self._new_pblock(set(block))
-            for v in block:
-                self.vblock[v] = pb
         for li, label in enumerate(self.labels):
-            qb = self._new_qblock(li, dict(self.pblocks))
-            for pb in self.pblocks.values():
-                pb.qref.append(qb.qid)
-            aggs = self.agg[qb.qid]
+            qid = self._new_qblock(li, dict.fromkeys(range(len(self.members))))
+            self.qof.append([qid] * len(self.members))
+            aggs = self.agg[qid]
             for sources in g.incoming(label):
                 for x, rank in sources:
-                    aggregate = aggs.get(x)
-                    if aggregate is None:
-                        aggregate = aggs[x] = DegreeAggregate()
-                    aggregate.add(rank)
-            self._enqueue_if_compound(qb)
+                    _add_rank(aggs, x, rank)
+            self._enqueue_if_compound(qid)
 
-    def _new_pblock(self, verts: set[int]) -> _PBlock:
-        pb = _PBlock(self.next_bid, verts)
-        self.next_bid += 1
-        self.pblocks[pb.bid] = pb
-        return pb
-
-    def _new_qblock(self, label_idx: int, pblocks: dict[int, _PBlock]) -> _QBlock:
-        qb = _QBlock(self.next_qid, label_idx, pblocks)
-        self.next_qid += 1
-        self.qblocks[qb.qid] = qb
+    def _new_qblock(self, label_idx: int, bids: dict[int, None]) -> int:
+        qid = len(self.qlabel)
+        self.qmembers.append(bids)
+        self.qlabel.append(label_idx)
+        self.queued.append(False)
         self.agg.append({})
-        return qb
+        return qid
 
-    def _enqueue_if_compound(self, qb: _QBlock) -> None:
-        if not qb.queued and len(qb.pblocks) >= 2:
-            qb.queued = True
-            self.queues[qb.label_idx].append(qb)
+    def _enqueue_if_compound(self, qid: int) -> None:
+        if not self.queued[qid] and len(self.qmembers[qid]) >= 2:
+            self.queued[qid] = True
+            self.queues[self.qlabel[qid]].append(qid)
+
+    def _vertices(self, qid: int) -> frozenset[int]:
+        return frozenset().union(*(self.members[bid] for bid in self.qmembers[qid]))
 
     def run(self, on_iteration: Callable[[TraceStep], None] | None = None) -> Partition:
+        members = self.members
         step = 0
         while True:
-            qb = self._pop_compound()
-            if qb is None:
+            qid = self._pop_compound()
+            if qid is None:
                 break
             step += 1
             # the smaller of the first two contained blocks is at most half of Y
-            it = iter(qb.pblocks.values())
+            it = iter(self.qmembers[qid])
             first = next(it)
             second = next(it)
-            y_prime_pb = first if len(first.verts) <= len(second.verts) else second
-            y_before = qb.vertices() if on_iteration else frozenset()
-            changed = self._split_q(qb, y_prime_pb)
+            y_prime = first if len(members[first]) <= len(members[second]) else second
             if on_iteration:
+                # Y' and Y as used by this split, before Y' itself may split
+                y_prime_before = frozenset(members[y_prime])
+                y_before = self._vertices(qid)
+            changed = self._split_q(qid, y_prime)
+            if on_iteration:
+                li = self.qlabel[qid]
                 on_iteration(TraceStep(
                     index=step,
-                    label=self.labels[qb.label_idx],
-                    y_prime=frozenset(y_prime_pb.verts),
+                    label=self.labels[li],
+                    y_prime=y_prime_before,
                     y=y_before,
                     changed=changed,
-                    partition=tuple(frozenset(pb.verts) for pb in self.pblocks.values()),
+                    partition=tuple(frozenset(verts) for verts in members),
                     splitter=tuple(
-                        q.vertices() for q in self.qblocks.values()
-                        if q.label_idx == qb.label_idx
+                        self._vertices(q) for q, ql in enumerate(self.qlabel) if ql == li
                     ),
                 ))
             if self.debug:
                 self._check_aggregates()
-        return Partition((pb.verts for pb in self.pblocks.values()), self.g.n)
+        return Partition(members, self.g.n)
 
-    def _pop_compound(self) -> _QBlock | None:
+    def _pop_compound(self) -> int | None:
         for queue in self.queues:  # lowest label index first
             if queue:
-                qb = queue.popleft()
-                qb.queued = False
-                return qb
+                qid = queue.popleft()
+                self.queued[qid] = False
+                return qid
         return None
 
-    def _split_q(self, qb: _QBlock, y_prime_pb: _PBlock) -> bool:
-        """Replace qb by y_prime and its complement, then re-split P by the pair
-        of sups into the two halves.  Returns True when P changed."""
-        li = qb.label_idx
-        label = self.labels[li]
-        del qb.pblocks[y_prime_pb.bid]
-        new_qb = self._new_qblock(li, {y_prime_pb.bid: y_prime_pb})
-        y_prime_pb.qref[li] = new_qb.qid
-        self._enqueue_if_compound(qb)
+    def _split_q(self, qid: int, y_prime: int) -> bool:
+        """Replace Q-block qid by block y_prime and its complement, then re-split
+        P by the pair of sups into the two halves.  Returns True when P changed."""
+        li = self.qlabel[qid]
+        del self.qmembers[qid][y_prime]
+        new_qid = self._new_qblock(li, {y_prime: None})
+        self.qof[li][y_prime] = new_qid
+        self._enqueue_if_compound(qid)
 
         # move the ranks of edges into y_prime out of the old aggregates; the
         # sources with an aggregate into y_prime are the affected ones
-        incoming = self.g.incoming(label)
-        old_aggs, new_aggs = self.agg[qb.qid], self.agg[new_qb.qid]
-        for y in y_prime_pb.verts:
+        incoming = self.g.incoming(self.labels[li])
+        old_aggs, new_aggs = self.agg[qid], self.agg[new_qid]
+        for y in self.members[y_prime]:
             for x, rank in incoming[y]:
-                if old_aggs[x].remove(rank):
+                old = old_aggs[x]
+                if type(old) is int or old.remove(rank):
                     del old_aggs[x]
-                new = new_aggs.get(x)
-                if new is None:
-                    new = new_aggs[x] = DegreeAggregate()
-                new.add(rank)
+                _add_rank(new_aggs, x, rank)
 
         # group affected sources by their (sup into y_prime, sup into rest)
         # pair, as the one int sup_prime * width + sup_rest
         width = len(self.g.levels)
         groups: dict[int, dict[int, list[int]]] = {}
-        vblock = self.vblock
+        blk = self.blk
         for x, new in new_aggs.items():
-            rest = old_aggs.get(x)
-            key = new.max() * width + (rest.max() if rest is not None else 0)
-            groups.setdefault(vblock[x].bid, {}).setdefault(key, []).append(x)
+            rest = old_aggs.get(x, 0)
+            if type(new) is not int:
+                new = new.max()
+            if type(rest) is not int:
+                rest = rest.max()
+            groups.setdefault(blk[x], {}).setdefault(new * width + rest, []).append(x)
 
         changed = False
+        members, qof, qmembers = self.members, self.qof, self.qmembers
         for bid, by_key in groups.items():
-            pb = self.pblocks[bid]
+            verts = members[bid]
             n_affected = sum(len(vs) for vs in by_key.values())
-            has_unaffected = len(pb.verts) > n_affected
+            has_unaffected = len(verts) > n_affected
             if not has_unaffected and len(by_key) == 1:
                 continue  # whole block moved together
             changed = True
             movers = iter(by_key.values())
             if not has_unaffected:
-                next(movers)  # first group stays in pb
-            for verts in movers:
-                new_pb = self._new_pblock(set(verts))
-                new_pb.qref = list(pb.qref)
-                for v in verts:
-                    pb.verts.remove(v)
-                    self.vblock[v] = new_pb
-                for qid in new_pb.qref:
-                    ref = self.qblocks[qid]
-                    ref.pblocks[new_pb.bid] = new_pb
-                    self._enqueue_if_compound(ref)
+                next(movers)  # first group stays in bid
+            for moved in movers:
+                new_bid = len(members)
+                members.append(set(moved))
+                for v in moved:
+                    verts.remove(v)
+                    blk[v] = new_bid
+                for qof_label in qof:
+                    q = qof_label[bid]
+                    qof_label.append(q)
+                    qmembers[q][new_bid] = None
+                    self._enqueue_if_compound(q)
         return changed
 
     def _check_aggregates(self) -> None:
-        """Debug invariant: every aggregate max is the rank of a fresh sup computation."""
+        """Debug invariant: every source's aggregate into a Q-block holds one
+        rank per edge into it, and its max is the rank of a fresh sup."""
         for qid, aggs in enumerate(self.agg):
-            if not aggs:
-                continue
-            qb = self.qblocks[qid]
-            verts = qb.vertices()
-            for x, aggregate in aggs.items():
-                fresh = self.g.sup_degree(x, self.labels[qb.label_idx], verts)
-                held = self.g.levels[aggregate.max()]
+            label = self.labels[self.qlabel[qid]]
+            verts = self._vertices(qid)
+            held_edges = 0
+            for x, agg in aggs.items():
+                top, count = (agg, 1) if type(agg) is int else (agg.max(), len(agg))
+                held, fresh = self.g.levels[top], self.g.sup_degree(x, label, verts)
                 assert held == fresh, f"aggregate for ({x}, q{qid}) holds {held}, expected {fresh}"
+                held_edges += count
+            edges = sum(len(self.g.incoming(label)[y]) for y in verts)
+            assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
+
+
+def _add_rank(aggs: dict[int, int | DegreeAggregate], x: int, rank: int) -> None:
+    """Count one edge of source x: a bare int rank until a second edge arrives."""
+    held = aggs.get(x)
+    if held is None:
+        aggs[x] = rank
+    elif type(held) is int:
+        aggs[x] = DegreeAggregate((held, rank))
+    else:
+        held.add(rank)
 
 
 def compcb(

@@ -124,6 +124,22 @@ def test_partition_trace_and_output(graph_file, tmp_path, capsys):
     assert json.loads(out.read_text()) == [["u"], ["v", "w"]]
 
 
+def test_partition_trace_reports_y_prime_before_it_splits(tmp_path, capsys):
+    # the first Y', {v0,v2}, is itself split by its own iteration
+    doc = {"vertices": ["v0", "v1", "v2", "v3", "v4"],
+           "edges": [["v2", "e0", "v4", "2/3"], ["v0", "e0", "v2", "1/2"],
+                     ["v2", "e0", "v2", "1/2"], ["v0", "e0", "v0", "2/3"]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["partition", "--input", str(path), "--trace"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == (
+        "1. split w.r.t. <Y'={v0,v2}, Y={v0,v1,v2,v3,v4}, e0>: "
+        "P = {{v0},{v1,v3,v4},{v2}}; Q[e0] = {{v0,v2},{v1,v3,v4}}"
+    )
+    assert lines[1].startswith("2. split w.r.t. <Y'={v0}, Y={v0,v2}, e0>")
+
+
 def test_eval_goldens(chain_file, capsys):
     assert main(["eval", "--input", chain_file, "--features", PSI_FLAG,
                  "some r . A", "a"]) == 0
@@ -313,3 +329,11 @@ def test_internal_error_exits_4_without_traceback(monkeypatch, graph_file, capsy
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: planted fault second line\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", ["0", "0.5"])
+def test_concept_degree_for_unknown_element_exits_2(degree, tmp_path, capsys):
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps({"domain": ["u"], "concepts": {"A": {"ghost": degree}}}))
+    assert main(["minimize", "--input", str(path)]) == 2
+    assert "ghost" in capsys.readouterr().err

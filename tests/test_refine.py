@@ -248,6 +248,43 @@ def test_iteration_count_bounded():
         assert len(steps) <= (g.n - 1) * max(1, len(g.edge_label_names)), f"case {k}"
 
 
+def godel5_chain(n: int, cycle=(3, 1, 4, 2)) -> FuzzyGraph:
+    """A next-labelled chain over godel5: the edge into the element at
+    distance k from the chain end has degree cycle[k % 4], and the end
+    holds End at top."""
+    names = [f"c{i}" for i in range(n)]
+    edges = [(names[i], "next", names[i + 1], cycle[(n - 2 - i) % 4]) for i in range(n - 1)]
+    g5 = load_lattice(bundled_lattice_path("godel5"))
+    return FuzzyGraph(g5, names, {names[-1]: {"End": 4}}, edges)
+
+
+def test_smaller_half_counted_from_the_trace():
+    # every Y' is a block of the partition before its step and at most half
+    # of Y, so a target's edges are scanned at most floor(log2 n) times per
+    # label: the smaller-half argument behind the O((m log l + n) log n) bound
+    params = GeneratorParams(n_min=2, n_max=60, edge_factor=4, pool_size=6,
+                             vertex_labels=1, edge_labels=3)
+    graphs = [g for _, g in _random_cases(60, params, seed_base=4000)] + [godel5_chain(256)]
+    for k, g in enumerate(graphs):
+        steps = []
+        p = compcb(g, on_iteration=steps.append)
+        scanned = dict.fromkeys(g.edge_label_names, 0)
+        before = g.initial_partition()
+        for step in steps:
+            assert step.y_prime in before.blocks, f"case {k} step {step.index}"
+            assert 2 * len(step.y_prime) <= len(step.y), f"case {k} step {step.index}"
+            after = Partition(step.partition, g.n)
+            assert after.refines(before), f"case {k} step {step.index}"
+            incoming = g.incoming(step.label)
+            scanned[step.label] += sum(len(incoming[y]) for y in step.y_prime)
+            before = after
+        assert before == p, f"case {k}"
+        for label, count in scanned.items():
+            m_label = sum(map(len, g.incoming(label)))
+            assert count <= m_label * (g.n.bit_length() - 1), f"case {k} label {label}"
+    assert len(steps) >= 255  # the chain splits about once per element
+
+
 def test_result_is_coarsest():
     # merging any two result blocks breaks stability or label/sup grouping
     params = GeneratorParams(n_min=2, n_max=10, edge_factor=4, pool_size=3,
