@@ -171,6 +171,8 @@ class UnitIntervalAlgebra(Algebra):
         return ONE
 
     def check(self, a: Degree) -> Degree:
+        if type(a) is Fraction and 0 <= a.numerator <= a.denominator:
+            return a  # exact: a Fraction keeps its denominator positive
         _reject_float(a)
         if isinstance(a, int):
             a = Fraction(a)
@@ -299,6 +301,8 @@ class FiniteLatticeAlgebra(Algebra):
         return self.size - 1
 
     def check(self, a: Degree) -> Degree:
+        if type(a) is int and 0 <= a < self.size:
+            return a
         _reject_float(a)
         if isinstance(a, Fraction):
             if a.denominator != 1:

@@ -3,6 +3,8 @@
 A graph has dense vertex ids, fuzzy vertex labels (absent label = bottom)
 and sparse labeled edges holding strictly positive degrees.  Graphs are
 immutable after construction and all degrees belong to one shared algebra.
+Edges are kept in input order and as incoming lists; there is no outgoing
+adjacency.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
     Edge degrees are interned once: `levels` holds bottom at index 0 and the
-    distinct edge degrees in ascending order after it, and the adjacency the
-    refinement engine reads (`incoming`) holds ranks into it.  Since the
-    engine only compares degrees, ranks stand in for them; degrees come back
-    only in `out_edges`, `sup_degree` and `edges`.
+    distinct edge degrees in ascending order after it.  The edges are kept
+    twice, with ranks into `levels`: in input order for `edges` and `stats`,
+    and per label and target for the engine and `initial_partition`
+    (`incoming`).  Since the engine only compares degrees, ranks stand in
+    for them; degrees come back only in `out_edges` and `sup_degree`, which
+    scan these on demand, and in `edges`.
 
-    The constructor takes names and degree text and validates both; it is
-    the boundary for JSON documents and generators.
+    The constructor takes names and degree text and validates both, and
+    rejects duplicate edges; it is the boundary for JSON documents and
+    generators.
     """
 
     def __init__(
@@ -58,16 +63,18 @@ class FuzzyGraph:
                 if degree != algebra.bottom:
                     labels[v][label] = degree
 
-        checked: list[tuple[int, str, int, Degree]] = []
+        checked: dict[tuple[int, str, int], Degree] = {}
         for sname, label, tname, degree in edges:
             s, t = self.vertex_id(sname), self.vertex_id(tname)
+            if (s, label, t) in checked:
+                raise UsageError(f"duplicate edge ({sname},{label},{tname})")
             degree = parse(degree)
             if degree == algebra.bottom:
                 raise UsageError(
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )
-            checked.append((s, label, t, degree))
-        self._build(algebra, names, labels, label_names, checked)
+            checked[s, label, t] = degree
+        self._build(algebra, names, labels, label_names, [(*e, d) for e, d in checked.items()])
 
     @classmethod
     def _from_ids(
@@ -78,8 +85,8 @@ class FuzzyGraph:
         label_names: Iterable[str],
         edges: list[tuple[int, str, int, Degree]],
     ) -> "FuzzyGraph":
-        """A graph from vertex ids and degrees that are already checked:
-        labels hold no bottom degrees and edges no zero degrees."""
+        """A graph from vertex ids and degrees that are already checked: labels
+        hold no bottom degrees and edges no zero degrees and no duplicates."""
         g = cls.__new__(cls)
         g._id = {name: i for i, name in enumerate(names)}
         g._build(algebra, names, labels, label_names, edges)
@@ -115,18 +122,10 @@ class FuzzyGraph:
             rank_of_seen[first_seen[degree]] = rank
         self.levels: tuple[Degree, ...] = (algebra.bottom, *ascending)
 
-        out: list[dict[str, dict[int, int]]] = [{} for _ in range(self.n)]
-        ranked: list[tuple[int, str, int, int]] = []
-        for (s, label, t, _), first in zip(edges, seen):
-            rank = rank_of_seen[first]
-            per_label = out[s].setdefault(label, {})
-            if t in per_label:
-                raise UsageError(f"duplicate edge ({names[s]},{label},{names[t]})")
-            per_label[t] = rank
-            ranked.append((s, label, t, rank))
-        self.edge_label_names: tuple[str, ...] = tuple(sorted({e[1] for e in ranked}))
-        self._edges: tuple[tuple[int, str, int, int], ...] = tuple(ranked)
-        self._out = tuple(out)
+        self._edges: tuple[tuple[int, str, int, int], ...] = tuple(
+            (s, label, t, rank_of_seen[first]) for (s, label, t, _), first in zip(edges, seen)
+        )
+        self.edge_label_names: tuple[str, ...] = tuple(sorted({e[1] for e in self._edges}))
         self._in: dict[str, tuple[tuple[tuple[int, int], ...], ...]] | None = None
 
     @property
@@ -142,11 +141,12 @@ class FuzzyGraph:
             raise UsageError(f"unknown vertex {name!r}") from None
 
     def out_edges(self, v: int, label: str) -> Mapping[int, Degree]:
-        """Targets and degrees of v's outgoing `label` edges (absent = bottom)."""
+        """Targets and degrees of v's outgoing `label` edges (absent = bottom),
+        in input order.  A scan of all edges, for tests and inspection."""
         self._check_vertex(v)
         self._check_label(label)
         levels = self.levels
-        return {t: levels[rank] for t, rank in self._out[v].get(label, {}).items()}
+        return {t: levels[rank] for s, lab, t, rank in self._edges if s == v and lab == label}
 
     def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex incoming (source, rank) lists for one edge label, in
@@ -170,18 +170,14 @@ class FuzzyGraph:
             raise UsageError(f"unknown edge label {label!r}")
 
     def sup_degree(self, v: int, label: str, targets: Iterable[int]) -> Degree:
-        """Largest degree among v's `label` edges into the target set (bottom if none)."""
+        """Largest degree among v's `label` edges into the target set (bottom
+        if none).  Scans the targets' incoming edges, for tests and inspection."""
         targets = set(targets)
         for t in targets:
             self._check_vertex(t)
         self._check_vertex(v)
-        self._check_label(label)
-        per_label = self._out[v].get(label, {})
-        if len(per_label) <= len(targets):
-            ranks = [rank for t, rank in per_label.items() if t in targets]
-        else:
-            ranks = [per_label[t] for t in targets if t in per_label]
-        return self.levels[max(ranks, default=0)]
+        incoming = self.incoming(label)
+        return self.levels[max((r for t in targets for s, r in incoming[t] if s == v), default=0)]
 
     def label_vector(self, v: int) -> tuple[Degree, ...]:
         """Dense label degrees of v, in sorted label-name order."""
@@ -192,16 +188,26 @@ class FuzzyGraph:
 
     def initial_partition(self) -> Partition:
         """Group vertices by label vector and per-label sup of all outgoing degrees."""
+        return Partition(self._initial_blocks(), self.n)
+
+    def _initial_blocks(self) -> list[list[int]]:
+        """`initial_partition`'s sorted blocks in `Partition`'s order (by least
+        vertex), from one pass over each label's incoming lists."""
         if self.n == 0:
             raise UsageError("graph has no vertices")
+        bottom, names = self.algebra.bottom, self.vertex_label_names
+        columns = [[tuple(mine.get(name, bottom) for name in names) for mine in self._labels]]
+        for label in self.edge_label_names:
+            sup = [0] * self.n
+            for sources in self.incoming(label):
+                for s, rank in sources:
+                    if rank > sup[s]:
+                        sup[s] = rank
+            columns.append(sup)
         groups: dict[tuple, list[int]] = {}
-        for v in range(self.n):
-            out = self._out[v]
-            sups = tuple(
-                max(out.get(label, {}).values(), default=0) for label in self.edge_label_names
-            )
-            groups.setdefault((self.label_vector(v), sups), []).append(v)
-        return Partition(groups.values(), self.n)
+        for v, key in enumerate(zip(*columns)):
+            groups.setdefault(key, []).append(v)
+        return list(groups.values())
 
     def stats(self) -> GraphStats:
         return GraphStats(n=self.n, m=len(self._edges), l=len(self.levels) - 1)

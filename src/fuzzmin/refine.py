@@ -152,14 +152,18 @@ class _Refiner:
     in the flat layout the module docstring describes."""
 
     def __init__(self, g: "FuzzyGraph", debug: bool = False):
-        if g.n == 0:
-            raise UsageError("graph has no vertices")
         self.g = g
         self.debug = debug
         self.labels = g.edge_label_names
-        initial = g.initial_partition()
-        self.members: list[set[int]] = [set(block) for block in initial.blocks]
-        self.blk: list[int] = [initial.block_index(v) for v in range(g.n)]
+        blocks = g._initial_blocks()
+        # copied twice: the set's table size fixes its iteration order, which
+        # fixes the block ids of every later step and so the trace
+        self.members: list[set[int]] = [set(set(block)) for block in blocks]
+        self.blk: list[int] = [0] * g.n
+        for bid, block in enumerate(blocks):
+            for v in block:
+                self.blk[v] = bid
+        self.incoming = [g.incoming(label) for label in self.labels]
         self.qof: list[list[int]] = []
         self.qmembers: list[dict[int, None]] = []
         self.qlabel: list[int] = []
@@ -167,11 +171,11 @@ class _Refiner:
         self.agg: list[dict[int, int | DegreeAggregate]] = []
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
-        for li, label in enumerate(self.labels):
+        for li, incoming in enumerate(self.incoming):
             qid = self._new_qblock(li, dict.fromkeys(range(len(self.members))))
             self.qof.append([qid] * len(self.members))
             aggs = self.agg[qid]
-            for sources in g.incoming(label):
+            for sources in incoming:
                 for x, rank in sources:
                     _add_rank(aggs, x, rank)
             self._enqueue_if_compound(qid)
@@ -246,7 +250,7 @@ class _Refiner:
 
         # move the ranks of edges into y_prime out of the old aggregates; the
         # sources with an aggregate into y_prime are the affected ones
-        incoming = self.g.incoming(self.labels[li])
+        incoming = self.incoming[li]
         old_aggs, new_aggs = self.agg[qid], self.agg[new_qid]
         for y in self.members[y_prime]:
             for x, rank in incoming[y]:
@@ -297,15 +301,16 @@ class _Refiner:
         """Debug invariant: every source's aggregate into a Q-block holds one
         rank per edge into it, and its max is the rank of a fresh sup."""
         for qid, aggs in enumerate(self.agg):
-            label = self.labels[self.qlabel[qid]]
-            verts = self._vertices(qid)
-            held_edges = 0
-            for x, agg in aggs.items():
-                top, count = (agg, 1) if type(agg) is int else (agg.max(), len(agg))
-                held, fresh = self.g.levels[top], self.g.sup_degree(x, label, verts)
-                assert held == fresh, f"aggregate for ({x}, q{qid}) holds {held}, expected {fresh}"
-                held_edges += count
-            edges = sum(len(self.g.incoming(label)[y]) for y in verts)
+            incoming = self.incoming[self.qlabel[qid]]
+            fresh: dict[int, int] = {}
+            edges = 0
+            for y in self._vertices(qid):
+                for x, rank in incoming[y]:
+                    edges += 1
+                    fresh[x] = max(rank, fresh.get(x, 0))
+            held = {x: agg if type(agg) is int else agg.max() for x, agg in aggs.items()}
+            assert held == fresh, f"q{qid} aggregates hold sup ranks {held}, expected {fresh}"
+            held_edges = sum(1 if type(agg) is int else len(agg) for agg in aggs.values())
             assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
 
 
@@ -342,8 +347,6 @@ def naive_coarsest_stable_refinement(g: "FuzzyGraph") -> Partition:
     outgoing degrees into every (label, block) pair, and regroups blocks
     by that signature.  Independent of the engine's data structures.
     """
-    if g.n == 0:
-        raise UsageError("graph has no vertices")
     part = g.initial_partition()
     while True:
         sups: list[dict[tuple[str, int], "Degree"]] = [{} for _ in range(g.n)]
@@ -365,19 +368,17 @@ def is_stable(g: "FuzzyGraph", p: Partition) -> bool:
     every block, for every edge label."""
     if p.n != g.n:
         raise UsageError("partition does not match the graph's vertex set")
-    bottom = g.algebra.bottom
-    for block in p.blocks:
-        members = sorted(block)
-        reference: dict[tuple[str, int], "Degree"] | None = None
-        for v in members:
-            mine: dict[tuple[str, int], "Degree"] = {}
-            for label in g.edge_label_names:
-                for t, degree in g.out_edges(v, label).items():
-                    key = (label, p.block_index(t))
-                    if degree > mine.get(key, bottom):
-                        mine[key] = degree
-            if reference is None:
-                reference = mine
-            elif mine != reference:
+    for label in g.edge_label_names:
+        sups: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for t, sources in enumerate(g.incoming(label)):
+            bt = p.block_index(t)
+            for s, rank in sources:
+                mine = sups[s]
+                if rank > mine.get(bt, 0):
+                    mine[bt] = rank
+        for block in p.blocks:
+            members = iter(block)
+            reference = sups[next(members)]
+            if any(sups[v] != reference for v in members):
                 return False
     return True

@@ -1,9 +1,11 @@
 """Shared instance builders for the test suite, the name-based builders kept
-as oracles for the id-built graph encoding, quotient and pruning, and the
-dense evaluator kept as the differential oracle for `eval_concept` and
+as oracles for the id-built graph encoding, quotient and pruning, the
+out-adjacency oracles for `initial_partition` and `is_stable`, and the dense
+evaluator kept as the differential oracle for `eval_concept` and
 `eval_role`."""
 
-from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, UsageError
+from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, Partition, UsageError
+from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
 from fuzzmin.fdl import (
     AndConcept,
     BaazConcept,
@@ -25,6 +27,7 @@ from fuzzmin.fdl import (
     _const_degree,
     block_name,
 )
+from fuzzmin.generate import GeneratorParams, random_graph
 
 # baseline feature configuration used by most golden tests
 PSI = ["baaz", "comp", "union", "star", "test", "universal"]
@@ -185,6 +188,75 @@ def prune_by_names(i, phi) -> Interpretation:
     }
     individuals = {a: i.names[x] for a, x in i.individuals.items()}
     return Interpretation(i.algebra, names, individuals, concepts, roles)
+
+
+# --- out-adjacency oracles ---------------------------------------------------
+
+def oracle_graphs() -> list[FuzzyGraph]:
+    """Seeded random graphs over the four kinds of algebra (with and without
+    vertex labels, one without edges), plus a hand-built graph with
+    self-loops, an isolated vertex, two edge labels on one pair and a
+    vertex label at bottom."""
+    backends = [make_algebra("godel"), make_algebra("product"), make_algebra("lukasiewicz"),
+                load_lattice(bundled_lattice_path("godel5"))]
+    shapes = [
+        GeneratorParams(n_min=1, n_max=16, edge_factor=4, pool_size=4, vertex_labels=2, edge_labels=3),
+        GeneratorParams(n_min=2, n_max=24, edge_factor=2, pool_size=3, vertex_labels=0, edge_labels=2),
+        GeneratorParams(n_min=1, n_max=12, edge_factor=0, pool_size=3, vertex_labels=1, edge_labels=2),
+    ]
+    graphs = [random_graph(shapes[k % 3], 6000 + k, backends[k % 4]) for k in range(48)]
+    graphs.append(FuzzyGraph(
+        backends[0],
+        ["a", "b", "c", "d", "e"],
+        {"a": {"A": "1"}, "b": {"A": "1"}, "c": {"A": "0"}},
+        [("a", "r", "a", "0.5"), ("b", "r", "b", "0.5"), ("a", "r", "c", "0.5"),
+         ("a", "s", "c", "0.9"), ("c", "s", "d", "0.9"), ("d", "r", "d", "1")],
+    ))
+    return graphs
+
+
+def out_maps(g) -> list[dict]:
+    """Per vertex and edge label, a dict of target -> degree, from `edges`."""
+    out: list[dict] = [{} for _ in range(g.n)]
+    for s, label, t, degree in g.edges:
+        out[s].setdefault(label, {})[t] = degree
+    return out
+
+
+def initial_partition_by_out_maps(g) -> Partition:
+    """Vertices grouped by label vector and per-label sup of all outgoing
+    degrees, read from per-vertex outgoing maps: the oracle for
+    `FuzzyGraph.initial_partition`."""
+    out = out_maps(g)
+    groups: dict = {}
+    for v in range(g.n):
+        sups = tuple(
+            max(out[v].get(label, {}).values(), default=g.algebra.bottom)
+            for label in g.edge_label_names
+        )
+        groups.setdefault((g.label_vector(v), sups), []).append(v)
+    return Partition(groups.values(), g.n)
+
+
+def is_stable_by_out_edges(g, p) -> bool:
+    """Stability checked vertex by vertex from `out_edges`, comparing the
+    sup degree into every (label, block) pair within each block: the oracle
+    for `is_stable`."""
+    bottom = g.algebra.bottom
+    for block in p.blocks:
+        reference = None
+        for v in sorted(block):
+            mine: dict = {}
+            for label in g.edge_label_names:
+                for t, degree in g.out_edges(v, label).items():
+                    key = (label, p.block_index(t))
+                    if degree > mine.get(key, bottom):
+                        mine[key] = degree
+            if reference is None:
+                reference = mine
+            elif mine != reference:
+                return False
+    return True
 
 
 # --- dense oracle ------------------------------------------------------------

@@ -337,3 +337,23 @@ def test_concept_degree_for_unknown_element_exits_2(degree, tmp_path, capsys):
     path.write_text(json.dumps({"domain": ["u"], "concepts": {"A": {"ghost": degree}}}))
     assert main(["minimize", "--input", str(path)]) == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def test_partition_rejects_a_repeated_edge(tmp_path, capsys):
+    doc = {"vertices": ["u", "v"],
+           "edges": [["u", "r", "v", "0.5"], ["v", "r", "u", "0.5"], ["u", "r", "v", "0.7"]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["partition", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate edge (u,r,v)" in err
+
+
+def test_partition_accepts_one_pair_under_two_labels(tmp_path, capsys):
+    doc = {"vertices": ["u", "v", "w"],
+           "edges": [["u", "r", "v", "0.5"], ["u", "s", "v", "0.7"], ["w", "r", "v", "0.5"]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["partition", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "{{u},{v},{w}}"

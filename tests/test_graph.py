@@ -12,7 +12,15 @@ from fuzzmin import (
     interpretation_to_graph,
     load_graph,
 )
-from helpers import PHI_PSI, collapse_graph, two_component_interp, blocks_by_names
+from helpers import (
+    PHI_PSI,
+    blocks_by_names,
+    collapse_graph,
+    initial_partition_by_out_maps,
+    oracle_graphs,
+    out_maps,
+    two_component_interp,
+)
 
 GODEL = GodelAlgebra()
 
@@ -154,3 +162,40 @@ def test_graph_from_json_schema_errors():
         graph_from_json(["not", "an", "object"], GODEL)
     with pytest.raises(UsageError):
         graph_from_json({"vertices": ["x"], "edges": [["x", "r", "x"]]}, GODEL)
+
+
+def test_initial_partition_matches_the_out_map_oracle():
+    graphs = oracle_graphs()
+    # the set covers graphs without edges, with self-loops, with isolated
+    # vertices and with vertex labels
+    assert any(not g.edges for g in graphs)
+    assert any(s == t for g in graphs for s, _, t, _ in g.edges)
+    assert any(
+        v not in {s for s, _, _, _ in g.edges} | {t for _, _, t, _ in g.edges}
+        for g in graphs for v in range(g.n)
+    )
+    assert any(g.vertex_label_names for g in graphs)
+    for k, g in enumerate(graphs):
+        assert g.initial_partition() == initial_partition_by_out_maps(g), f"case {k}"
+
+
+def test_out_edges_and_sup_degree_read_the_edge_list():
+    rng = random.Random(11)
+    for k, g in enumerate(oracle_graphs()):
+        out = out_maps(g)
+        for label in g.edge_label_names:
+            for v in range(g.n):
+                mine = out[v].get(label, {})
+                assert g.out_edges(v, label) == mine, f"case {k}"
+                targets = {t for t in range(g.n) if rng.random() < 0.5}
+                expected = max((d for t, d in mine.items() if t in targets), default=g.algebra.bottom)
+                assert g.sup_degree(v, label, targets) == expected, f"case {k}"
+
+
+def test_out_edges_errors():
+    g = collapse_graph(GODEL)
+    with pytest.raises(UsageError):
+        g.out_edges(3, "r")
+    with pytest.raises(UsageError):
+        g.out_edges(0, "nope")
+    assert list(g.out_edges(0, "r").items()) == [(1, F("0.7")), (2, F("0.9"))]  # input order

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,14 @@ from fuzzmin import (
 )
 from fuzzmin.generate import GeneratorParams, random_graph
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
-from helpers import PHI_I, collapse_graph, two_component_interp, blocks_by_names
+from helpers import (
+    PHI_I,
+    blocks_by_names,
+    collapse_graph,
+    is_stable_by_out_edges,
+    oracle_graphs,
+    two_component_interp,
+)
 
 GODEL = GodelAlgebra()
 
@@ -321,3 +329,28 @@ def test_partition_type_validations():
         Partition([{0}, set()], 1)  # empty block
     with pytest.raises(UsageError):
         Partition([{0, 5}], 2)  # out of range
+
+
+def test_is_stable_matches_the_out_edges_oracle():
+    # per graph: the coarsest stable partition, a random one and the result
+    # with two blocks merged, so both outcomes occur
+    rng = random.Random(5)
+    outcomes = set()
+    for k, g in enumerate(oracle_graphs()):
+        stable = compcb(g)
+        candidates = [stable, Partition(_random_blocks(rng, g.n), g.n)]
+        if len(stable) >= 2:
+            first, second, *rest = stable.blocks
+            candidates.append(Partition([first | second, *rest], g.n))
+        for p in candidates:
+            expected = is_stable_by_out_edges(g, p)
+            assert is_stable(g, p) == expected, f"case {k}: {p}"
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def _random_blocks(rng, n):
+    blocks: dict[int, set[int]] = {}
+    for v in range(n):
+        blocks.setdefault(rng.randrange(max(1, n // 2)), set()).add(v)
+    return blocks.values()
