@@ -1,6 +1,7 @@
 """Shared instance builders for the test suite, the name-based builders kept
 as oracles for the id-built graph encoding, quotient and pruning, the
-out-adjacency oracles for `initial_partition` and `is_stable`, and the dense
+out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
+fixpoint kept as the oracle for `largest_bisimulation`, and the dense
 evaluator kept as the differential oracle for `eval_concept` and
 `eval_role`."""
 
@@ -24,6 +25,7 @@ from fuzzmin.fdl import (
     TestRole,
     UnionRole,
     UniversalRole,
+    _check_signatures,
     _const_degree,
     block_name,
 )
@@ -257,6 +259,65 @@ def is_stable_by_out_edges(g, p) -> bool:
             elif mine != reference:
                 return False
     return True
+
+
+# --- pairwise fixpoint oracle ----------------------------------------------
+
+def largest_bisimulation_by_fixpoint(
+    i1: Interpretation, i2: Interpretation, phi: FeatureSet
+) -> set[tuple[int, int]]:
+    """Greatest relation satisfying the bisimulation conditions, by fixpoint
+    refinement of the full pair set.
+
+    When the universal role is enabled and the fixpoint is not total and
+    surjective, the empty relation is returned: any non-empty bisimulation
+    would have to be total and surjective, and all candidates are subsets
+    of the fixpoint.
+    """
+    _check_signatures(i1, i2)
+    keep: set[tuple[int, int]] = set()
+    for x in range(i1.n):
+        for xp in range(i2.n):
+            if any(
+                i1.concept_degree(c, x) != i2.concept_degree(c, xp)
+                for c in i1.concept_names
+            ):
+                continue
+            if phi.nominal and any(
+                (x == i1.individuals[a]) != (xp == i2.individuals[a])
+                for a in i1.individual_names
+            ):
+                continue
+            keep.add((x, xp))
+
+    basics = i1.basic_role_keys(phi)
+    outs = [(i1.basic_out(r, inv), i2.basic_out(r, inv)) for r, inv in basics]
+    changed = True
+    while changed:
+        changed = False
+        for x, xp in sorted(keep):
+            ok = True
+            for out1, out2 in outs:
+                if not all(
+                    any(dp >= d and (y, yp) in keep for yp, dp in out2[xp])
+                    for y, d in out1[x]
+                ):
+                    ok = False
+                    break
+                if not all(
+                    any(d >= dp and (y, yp) in keep for y, d in out1[x])
+                    for yp, dp in out2[xp]
+                ):
+                    ok = False
+                    break
+            if not ok:
+                keep.discard((x, xp))
+                changed = True
+
+    if phi.universal and keep:
+        if {x for x, _ in keep} != set(range(i1.n)) or {xp for _, xp in keep} != set(range(i2.n)):
+            return set()
+    return keep
 
 
 # --- dense oracle ------------------------------------------------------------

@@ -55,6 +55,7 @@ from helpers import (
     dense_concept_values,
     dense_role_matrix,
     graph_by_names,
+    largest_bisimulation_by_fixpoint,
     prune_by_names,
     quotient_by_names,
     two_component_interp,
@@ -310,6 +311,80 @@ def test_largest_auto_bisimulation_matches_partition_blocks():
                 for y in block
             }
             assert relation == from_blocks, (seed, phi)
+
+
+BISIM_FEATURES = [
+    FeatureSet.from_names(["baaz"]),
+    FeatureSet.from_names(["baaz", "inverse"]),
+    FeatureSet.from_names(["baaz", "nominal"]),
+    FeatureSet.from_names(["baaz", "universal"]),
+    FeatureSet.from_names(["baaz", "inverse", "nominal", "universal"]),
+]
+
+
+def test_largest_bisimulation_matches_pairwise_fixpoint():
+    params = GeneratorParams(n_min=2, n_max=10, edge_factor=3, pool_size=3, individual_count=2)
+    godel5 = load_lattice(bundled_lattice_path("godel5"))
+    outcomes = set()
+    for k, alg in enumerate([GODEL, PRODUCT, LUK, godel5]):
+        for seed in range(12):
+            i = random_interpretation(params, 100 * k + seed, alg)
+            j = random_interpretation(params, 100 * k + seed + 50, alg)
+            for phi in BISIM_FEATURES:
+                small = minimize(i, phi)
+                for left, right in ((i, i), (i, j), (i, small), (small, i)):
+                    relation = largest_bisimulation(left, right, phi)
+                    assert relation == largest_bisimulation_by_fixpoint(left, right, phi), (
+                        alg, seed, phi.names(), left.n, right.n
+                    )
+                    if relation:
+                        assert is_bisimulation(left, right, relation, phi).ok
+                    outcomes.add(bool(relation))
+    assert outcomes == {False, True}
+
+
+def test_largest_bisimulation_of_an_equal_copy_matches_the_auto_call():
+    params = GeneratorParams(n_min=2, n_max=10, edge_factor=3, pool_size=3, individual_count=2)
+    for seed in range(6):
+        i = random_interpretation(params, seed, PRODUCT)
+        copy = random_interpretation(params, seed, PRODUCT)
+        assert copy is not i
+        for phi in BISIM_FEATURES:
+            assert largest_bisimulation(i, copy, phi) == largest_bisimulation(i, i, phi)
+
+
+def test_largest_bisimulation_ignores_shared_element_names():
+    # the same names on both sides, each naming the other side's other element
+    i1 = Interpretation(GODEL, ["u", "v"], individuals={"a": "u"},
+                        concepts={"A": {"u": "1"}}, roles={"r": [("u", "v", "0.5")]})
+    i2 = Interpretation(GODEL, ["v", "u"], individuals={"a": "v"},
+                        concepts={"A": {"v": "1"}}, roles={"r": [("v", "u", "0.5")]})
+    for phi in BISIM_FEATURES:
+        relation = largest_bisimulation(i1, i2, phi)
+        assert relation == {(0, 0), (1, 1)}
+        assert relation == largest_bisimulation_by_fixpoint(i1, i2, phi)
+
+
+def test_largest_bisimulation_signature_mismatch_rejected():
+    i1 = chain_interp(GODEL)
+    other = Interpretation(GODEL, ["x"], concepts={"B": {}}, roles={"r": []})
+    with pytest.raises(UsageError, match="signature mismatch"):
+        largest_bisimulation(i1, other, PHI_PSI)
+
+
+def test_largest_bisimulation_rejects_a_role_named_like_an_inverse():
+    # under inverse, r's reversed copy is labelled r-, so a role named r-
+    # cannot be told apart from it; without inverse the names are fine
+    def build():
+        return Interpretation(GODEL, ["u", "v"], roles={"r": [("u", "v", "1")], "r-": []})
+
+    i, copy = build(), build()
+    for right in (i, copy):
+        with pytest.raises(UsageError, match="collides with the inverse label"):
+            largest_bisimulation(i, right, PHI_I)
+        assert largest_bisimulation(i, right, PHI_PSI) == largest_bisimulation_by_fixpoint(
+            i, right, PHI_PSI
+        )
 
 
 # --- graph encoding -------------------------------------------------------------
