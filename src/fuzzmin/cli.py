@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -43,7 +42,6 @@ from .generate import (
     random_tbox_axiom,
 )
 from .graph import FuzzyGraph, graph_from_json, load_graph
-from .partition import Partition
 from .refine import TraceStep, compcb, is_stable, naive_coarsest_stable_refinement
 from .syntax import parse_concept
 
@@ -77,15 +75,6 @@ def _write_output(args, text: str) -> None:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _maybe_mutate(p: Partition) -> Partition:
-    """Deliberate corruption hook (FUZZMIN_MUTATE=1) for exercising the
-    verify harness's failure reporting."""
-    if not os.environ.get("FUZZMIN_MUTATE") or len(p) < 2:
-        return p
-    blocks = list(p.blocks)
-    return Partition([blocks[0] | blocks[1], *blocks[2:]], p.n)
 
 
 def cmd_minimize(args) -> int:
@@ -226,13 +215,13 @@ def cmd_verify(args) -> int:
         context = f"{algebra.name}, features={','.join(phi.names())}"
 
         g = random_graph(graph_params, case_seed, algebra)
-        fast = _maybe_mutate(compcb(g))
+        fast = compcb(g)
         record("oracle equivalence", fast == naive_coarsest_stable_refinement(g), case, context)
         record("stability", is_stable(g, fast), case, context)
 
         interp = random_interpretation(interp_params, case_seed, algebra)
         enc = interpretation_to_graph(interp, phi)
-        p = _maybe_mutate(compcb(enc))
+        p = compcb(enc)
         reduced = quotient(interp, p, enc)
         canonical = canonical_relation(interp, p, reduced)
         record(

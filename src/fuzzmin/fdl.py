@@ -631,7 +631,10 @@ def largest_bisimulation(
     labels, label_names, edges = _encoding(i1, phi)
     labels2, label_names2, edges2 = _encoding(i2, phi)
     n1 = i1.n
-    edges += [(s + n1, label, t + n1, degree) for s, label, t, degree in edges2]
+    edges = {  # the signatures match, so both sides have the same edge labels
+        label: {**table, **{(s + n1, t + n1): d for (s, t), d in edges2[label].items()}}
+        for label, table in edges.items()
+    }
     # element names may repeat across the sides; the engine reads only ids
     union = FuzzyGraph._from_ids(
         i1.algebra, i1.names + i2.names, labels + labels2, label_names | label_names2, edges
@@ -662,9 +665,10 @@ def interpretation_to_graph(i: Interpretation, phi: FeatureSet) -> FuzzyGraph:
 
 def _encoding(
     i: Interpretation, phi: FeatureSet
-) -> tuple[list[dict[str, Degree]], set[str], list[tuple[int, str, int, Degree]]]:
-    """Vertex labels, label names and edges of i's graph encoding; shared
-    with `largest_bisimulation`'s disjoint union."""
+) -> tuple[list[dict[str, Degree]], set[str], dict[str, Mapping[tuple[int, int], Degree]]]:
+    """Vertex labels, label names and per-label edge tables of i's graph
+    encoding; shared with `largest_bisimulation`'s disjoint union.  The
+    forward tables are i's own role tables, not copies."""
     labels: list[dict[str, Degree]] = [{} for _ in range(i.n)]
     label_names: set[str] = set()
     for cname in i.concept_names:
@@ -676,9 +680,7 @@ def _encoding(
             labels[i.individuals[a]][a] = i.algebra.top
             label_names.add(a)
 
-    edges: list[tuple[int, str, int, Degree]] = []
-    for rname in i.role_names:
-        edges += [(x, rname, y, degree) for (x, y), degree in i.role_instances(rname).items()]
+    edges: dict[str, Mapping[tuple[int, int], Degree]] = dict(i._roles)
     if phi.inverse:
         for rname in i.role_names:
             reversed_label = rname + "-"
@@ -686,10 +688,7 @@ def _encoding(
                 raise UsageError(
                     f"role name {reversed_label!r} collides with the inverse label of {rname!r}"
                 )
-            edges += [
-                (y, reversed_label, x, degree)
-                for (x, y), degree in i.role_instances(rname).items()
-            ]
+            edges[reversed_label] = {(y, x): d for (x, y), d in i._roles[rname].items()}
     return labels, label_names, edges
 
 

@@ -3,8 +3,8 @@
 A graph has dense vertex ids, fuzzy vertex labels (absent label = bottom)
 and sparse labeled edges holding strictly positive degrees.  Graphs are
 immutable after construction and all degrees belong to one shared algebra.
-Edges are kept in input order and as incoming lists; there is no outgoing
-adjacency.
+The edges are stored once, as per-label incoming lists; there is no
+outgoing adjacency.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
     Edge degrees are interned once: `levels` holds bottom at index 0 and the
-    distinct edge degrees in ascending order after it.  The edges are kept
-    twice, with ranks into `levels`: in input order for `edges` and `stats`,
-    and per label and target for the engine and `initial_partition`
-    (`incoming`).  Since the engine only compares degrees, ranks stand in
-    for them; degrees come back only in `out_edges` and `sup_degree`, which
-    scan these on demand, and in `edges`.
+    distinct edge degrees in ascending order after it.  The edges are stored
+    once, per label and target, as (source, rank) lists with ranks into
+    `levels` (`incoming`); the engine and `initial_partition` read them as
+    they are.  Since the engine only compares degrees, ranks stand in for
+    them; degrees come back only in `edges`, `out_edges` and `sup_degree`,
+    which read the store on demand.
 
     The constructor takes names and degree text and validates both, and
     rejects duplicate edges; it is the boundary for JSON documents and
@@ -63,18 +63,19 @@ class FuzzyGraph:
                 if degree != algebra.bottom:
                     labels[v][label] = degree
 
-        checked: dict[tuple[int, str, int], Degree] = {}
+        tables: dict[str, dict[tuple[int, int], Degree]] = {}
         for sname, label, tname, degree in edges:
             s, t = self.vertex_id(sname), self.vertex_id(tname)
-            if (s, label, t) in checked:
+            table = tables.setdefault(label, {})
+            if (s, t) in table:
                 raise UsageError(f"duplicate edge ({sname},{label},{tname})")
             degree = parse(degree)
             if degree == algebra.bottom:
                 raise UsageError(
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )
-            checked[s, label, t] = degree
-        self._build(algebra, names, labels, label_names, [(*e, d) for e, d in checked.items()])
+            table[s, t] = degree
+        self._build(algebra, names, labels, label_names, tables)
 
     @classmethod
     def _from_ids(
@@ -83,10 +84,11 @@ class FuzzyGraph:
         names: tuple[str, ...],
         labels: list[dict[str, Degree]],
         label_names: Iterable[str],
-        edges: list[tuple[int, str, int, Degree]],
+        edges: Mapping[str, Mapping[tuple[int, int], Degree]],
     ) -> "FuzzyGraph":
-        """A graph from vertex ids and degrees that are already checked: labels
-        hold no bottom degrees and edges no zero degrees and no duplicates."""
+        """A graph from vertex ids and already checked degrees: labels hold no
+        bottom degrees, and `edges` maps each edge label to a {(source,
+        target): degree} table, only read, that holds no zero degrees."""
         g = cls.__new__(cls)
         g._id = {name: i for i, name in enumerate(names)}
         g._build(algebra, names, labels, label_names, edges)
@@ -98,7 +100,7 @@ class FuzzyGraph:
         names: tuple[str, ...],
         labels: list[dict[str, Degree]],
         label_names: Iterable[str],
-        edges: list[tuple[int, str, int, Degree]],
+        edges: Mapping[str, Mapping[tuple[int, int], Degree]],
     ) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
@@ -106,33 +108,38 @@ class FuzzyGraph:
         self.vertex_label_names: tuple[str, ...] = tuple(sorted(label_names))
         self._labels: tuple[dict[str, Degree], ...] = tuple(labels)
 
-        # intern the edge degrees, hashing each distinct degree object once
-        # (a reversed edge shares its degree object with the forward edge)
-        first_seen: dict[Degree, int] = {}
-        by_object: dict[int, int] = {}
-        seen: list[int] = []
-        for _, _, _, degree in edges:
-            first = by_object.get(id(degree))
-            if first is None:
-                first = by_object[id(degree)] = first_seen.setdefault(degree, len(first_seen))
-            seen.append(first)
-        ascending = sorted(first_seen)
-        rank_of_seen = [0] * len(ascending)
-        for rank, degree in enumerate(ascending, 1):
-            rank_of_seen[first_seen[degree]] = rank
+        # rank the edge degrees by object id, hashing each distinct degree
+        # object once (a reversed edge shares its degree object with the
+        # forward edge, a parsed document one object per distinct text)
+        objects = {id(d): d for table in edges.values() for d in table.values()}
+        by_value: dict[Degree, list[int]] = {}
+        for key, degree in objects.items():
+            by_value.setdefault(degree, []).append(key)
+        ascending = sorted(by_value)
+        rank_of = {key: rank for rank, d in enumerate(ascending, 1) for key in by_value[d]}
         self.levels: tuple[Degree, ...] = (algebra.bottom, *ascending)
 
-        self._edges: tuple[tuple[int, str, int, int], ...] = tuple(
-            (s, label, t, rank_of_seen[first]) for (s, label, t, _), first in zip(edges, seen)
-        )
-        self.edge_label_names: tuple[str, ...] = tuple(sorted({e[1] for e in self._edges}))
-        self._in: dict[str, tuple[tuple[tuple[int, int], ...], ...]] | None = None
+        self._in: dict[str, tuple[tuple[tuple[int, int], ...], ...]] = {}
+        for label, table in edges.items():
+            if table:
+                lists: list[list[tuple[int, int]]] = [[] for _ in names]
+                for (s, t), degree in table.items():
+                    lists[t].append((s, rank_of[id(degree)]))
+                self._in[label] = tuple(map(tuple, lists))
+        self.edge_label_names: tuple[str, ...] = tuple(sorted(self._in))
+        self._m = sum(map(len, edges.values()))
 
     @property
     def edges(self) -> tuple[tuple[int, str, int, Degree], ...]:
-        """(source, label, target, degree) for every edge, in input order."""
+        """(source, label, target, degree) for every edge, read off the store:
+        by label name, then target, then input order within a target."""
         levels = self.levels
-        return tuple((s, label, t, levels[rank]) for s, label, t, rank in self._edges)
+        return tuple(
+            (s, label, t, levels[rank])
+            for label in self.edge_label_names
+            for t, sources in enumerate(self._in[label])
+            for s, rank in sources
+        )
 
     def vertex_id(self, name: str) -> int:
         try:
@@ -142,23 +149,15 @@ class FuzzyGraph:
 
     def out_edges(self, v: int, label: str) -> Mapping[int, Degree]:
         """Targets and degrees of v's outgoing `label` edges (absent = bottom),
-        in input order.  A scan of all edges, for tests and inspection."""
+        in target order.  Filters `edges`, for tests and inspection."""
         self._check_vertex(v)
         self._check_label(label)
-        levels = self.levels
-        return {t: levels[rank] for s, lab, t, rank in self._edges if s == v and lab == label}
+        return {t: degree for s, lab, t, degree in self.edges if s == v and lab == label}
 
     def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex incoming (source, rank) lists for one edge label, in
-        edge order; built for every label on the first call."""
+        """Per-target incoming (source, rank) lists for one edge label, each
+        in input order: the edge store itself, built by the constructor."""
         self._check_label(label)
-        if self._in is None:
-            acc: dict[str, list[list[tuple[int, int]]]] = {
-                lab: [[] for _ in range(self.n)] for lab in self.edge_label_names
-            }
-            for s, lab, t, rank in self._edges:
-                acc[lab][t].append((s, rank))
-            self._in = {lab: tuple(map(tuple, lists)) for lab, lists in acc.items()}
         return self._in[label]
 
     def _check_vertex(self, v: int) -> None:
@@ -210,7 +209,7 @@ class FuzzyGraph:
         return list(groups.values())
 
     def stats(self) -> GraphStats:
-        return GraphStats(n=self.n, m=len(self._edges), l=len(self.levels) - 1)
+        return GraphStats(n=self.n, m=self._m, l=len(self.levels) - 1)
 
 
 def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:

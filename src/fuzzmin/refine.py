@@ -14,14 +14,15 @@ builds no reference cycles and is freed on return.  Blocks and Q-blocks
 (the splitter blocks, one family per edge label) are never deleted, so
 their ids count up from 0:
 - `blk[v]` is the id of the block holding vertex v, `members[bid]` its
-  vertex set, and `qof[li][bid]` the id of the label-li Q-block holding it;
-- `qmembers[qid]` holds a Q-block's block ids in insertion order (a dict
-  used as an ordered set), `qlabel[qid]` its label index and `queued[qid]`
-  whether it waits in its label's queue;
+  vertices, and `qof[li][bid]` the id of the label-li Q-block holding it;
+- `qmembers[qid]` holds a Q-block's block ids, `qlabel[qid]` its label
+  index and `queued[qid]` whether it waits in its label's queue;
 - `agg[qid][x]` aggregates the ranks of source x's edges into Q-block qid,
   per its label: a bare int rank while one edge is counted, promoted to a
   `DegreeAggregate` when a second edge arrives.  Sources without such
   edges have no entry.
+`members` and `qmembers` are dicts used as ordered sets, so the walks over
+them, and with them the block ids and the trace, follow insertion order.
 """
 
 from __future__ import annotations
@@ -156,9 +157,7 @@ class _Refiner:
         self.debug = debug
         self.labels = g.edge_label_names
         blocks = g._initial_blocks()
-        # copied twice: the set's table size fixes its iteration order, which
-        # fixes the block ids of every later step and so the trace
-        self.members: list[set[int]] = [set(set(block)) for block in blocks]
+        self.members: list[dict[int, None]] = [dict.fromkeys(block) for block in blocks]
         self.blk: list[int] = [0] * g.n
         for bid, block in enumerate(blocks):
             for v in block:
@@ -286,9 +285,9 @@ class _Refiner:
                 next(movers)  # first group stays in bid
             for moved in movers:
                 new_bid = len(members)
-                members.append(set(moved))
+                members.append(dict.fromkeys(moved))
                 for v in moved:
-                    verts.remove(v)
+                    del verts[v]
                     blk[v] = new_bid
                 for qof_label in qof:
                     q = qof_label[bid]

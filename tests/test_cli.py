@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fuzzmin import GodelAlgebra, interpretation_to_json
+from fuzzmin import GodelAlgebra, Partition, compcb, interpretation_to_json
 from fuzzmin.cli import main
 from fuzzmin.syntax import MAX_NESTING
 from helpers import PSI, chain_interp, collapse_interp, two_component_interp
@@ -206,7 +206,14 @@ def test_verify_zero_cases_trivially_pass(capsys):
 
 
 def test_verify_detects_mutations(monkeypatch, capsys):
-    monkeypatch.setenv("FUZZMIN_MUTATE", "1")
+    def merge_first_two_blocks(g):
+        p = compcb(g)
+        if len(p) < 2:
+            return p
+        blocks = list(p.blocks)
+        return Partition([blocks[0] | blocks[1], *blocks[2:]], p.n)
+
+    monkeypatch.setattr("fuzzmin.cli.compcb", merge_first_two_blocks)
     code = main(["verify", "--cases", "6", "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 1

@@ -7,12 +7,14 @@ import pytest
 from fuzzmin import (
     FuzzyGraph,
     GodelAlgebra,
+    Interpretation,
     UsageError,
     graph_from_json,
     interpretation_to_graph,
     load_graph,
 )
 from helpers import (
+    PHI_I,
     PHI_PSI,
     blocks_by_names,
     collapse_graph,
@@ -107,6 +109,74 @@ def test_levels_and_ranked_incoming():
     assert g.out_edges(u, "r") == {v: F("0.7"), w: F("0.9")}
     assert g.edges[0] == (u, "r", v, F("0.7"))
     assert FuzzyGraph(GODEL, ["x"]).levels == (F(0),)
+
+
+def stored_edges(g):
+    """Every (source, label, target, degree) held in the incoming lists."""
+    return [
+        (s, label, t, g.levels[rank])
+        for label in g.edge_label_names
+        for t, sources in enumerate(g.incoming(label))
+        for s, rank in sources
+    ]
+
+
+def seeded_edge_lists():
+    """Seeded (n, edges) cases over labels r and s, id-based, in shuffled
+    order; each holds a self-loop and one pair under both labels."""
+    rng = random.Random(23)
+    pool = [F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        triples = {(rng.randrange(n), rng.choice("rs"), rng.randrange(n))
+                   for _ in range(rng.randint(0, 3 * n))}
+        triples |= {(n - 1, "r", n - 1), (0, "r", n - 1), (0, "s", n - 1)}
+        edges = [(x, label, y, rng.choice(pool)) for x, label, y in sorted(triples)]
+        rng.shuffle(edges)
+        yield n, edges
+
+
+def test_edge_store_holds_each_input_edge_once():
+    for k, (n, edges) in enumerate(seeded_edge_lists()):
+        names = [f"v{x}" for x in range(n)]
+        g = FuzzyGraph(GODEL, names, {}, [(names[x], lab, names[y], str(d)) for x, lab, y, d in edges])
+        assert sorted(g.edges) == sorted(edges), f"case {k}"
+        assert g.stats().m == len(edges), f"case {k}"
+        assert sorted(stored_edges(g)) == sorted(edges), f"case {k}"
+
+
+def test_encoding_under_inverse_holds_each_role_instance_twice():
+    # a role without instances ("q") gives no edge label, forward or reversed
+    for k, (n, edges) in enumerate(seeded_edge_lists()):
+        names = [f"v{x}" for x in range(n)]
+        roles = {"r": [], "s": [], "q": []}
+        for x, label, y, d in edges:
+            roles[label].append((names[x], names[y], str(d)))
+        g = interpretation_to_graph(Interpretation(GODEL, names, roles=roles), PHI_I)
+        expected = [(x, label, y, d) for x, label, y, d in edges]
+        expected += [(y, label + "-", x, d) for x, label, y, d in edges]
+        assert g.edge_label_names == ("r", "r-", "s", "s-"), f"case {k}"
+        assert sorted(g.edges) == sorted(expected), f"case {k}"
+        assert g.stats().m == len(expected), f"case {k}"
+        assert sorted(stored_edges(g)) == sorted(expected), f"case {k}"
+
+
+def test_edges_ordered_by_label_then_target_then_input_order():
+    g = FuzzyGraph(GODEL, ["a", "b", "c"], {}, [
+        ("c", "s", "a", "0.5"),
+        ("b", "r", "c", "0.7"),
+        ("a", "r", "c", "0.9"),
+        ("c", "r", "a", "0.6"),
+        ("a", "r", "b", "0.4"),
+    ])
+    assert g.edges == (
+        (2, "r", 0, F("0.6")),
+        (0, "r", 1, F("0.4")),
+        (1, "r", 2, F("0.7")),
+        (0, "r", 2, F("0.9")),
+        (2, "s", 0, F("0.5")),
+    )
+    assert list(g.out_edges(0, "r").items()) == [(1, F("0.4")), (2, F("0.9"))]
 
 
 def test_stats_goldens():

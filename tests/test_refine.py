@@ -166,6 +166,37 @@ def test_trace_reports_first_iteration():
     assert not step.changed
 
 
+def test_trace_follows_insertion_order_of_block_members():
+    # the order of Y' choices is a property of the code, not of how a
+    # set lays out its members: blocks walk their vertices in the order
+    # they joined, which puts 5 before 12 in steps 14 and 15
+    params = GeneratorParams(n_min=2, n_max=60, edge_factor=4, pool_size=6,
+                             vertex_labels=2, edge_labels=1)
+    g = random_graph(params, 78, make_algebra("lukasiewicz"))
+    steps = []
+    compcb(g, on_iteration=steps.append)
+    assert g.n == 18
+    assert [(s.label, sorted(s.y_prime), sorted(s.y), s.changed) for s in steps] == [
+        ("e0", [1, 8], list(range(18)), True),
+        ("e0", [0], [0, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [8], [1, 8], True),
+        ("e0", [3], [2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [6], [2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [9], [2, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], True),
+        ("e0", [7], [2, 4, 5, 7, 10, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [10], [2, 4, 5, 10, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [11], [2, 4, 5, 11, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [14], [2, 4, 5, 12, 13, 14, 15, 16, 17], False),
+        ("e0", [15], [2, 4, 5, 12, 13, 15, 16, 17], False),
+        ("e0", [16], [2, 4, 5, 12, 13, 16, 17], False),
+        ("e0", [17], [2, 4, 5, 12, 13, 17], False),
+        ("e0", [5], [2, 4, 5, 12, 13], False),
+        ("e0", [12], [2, 4, 12, 13], False),
+        ("e0", [4], [2, 4, 13], False),
+        ("e0", [2], [2, 13], False),
+    ]
+
+
 # --- oracle ----------------------------------------------------------------------
 
 def test_naive_oracle_goldens():
