@@ -187,6 +187,8 @@ def _verify_feature_sets() -> list[FeatureSet]:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 0:
+        raise UsageError(f"--cases must be non-negative, got {args.cases}")
     algebras = _verify_algebras()
     feature_sets = _verify_feature_sets()
     graph_params = GeneratorParams(

@@ -628,17 +628,19 @@ def largest_bisimulation(
         p = compcb(interpretation_to_graph(i1, phi))
         return {(x, y) for block in p.blocks for x in block for y in block}
 
-    labels, label_names, edges = _encoding(i1, phi)
-    labels2, label_names2, edges2 = _encoding(i2, phi)
+    labels, edges = _encoding(i1, phi)
+    labels2, edges2 = _encoding(i2, phi)
     n1 = i1.n
+    labels = {  # a concept may be non-bottom on one side only
+        label: {**labels.get(label, {}), **{x + n1: d for x, d in labels2.get(label, {}).items()}}
+        for label in labels.keys() | labels2.keys()
+    }
     edges = {  # the signatures match, so both sides have the same edge labels
         label: {**table, **{(s + n1, t + n1): d for (s, t), d in edges2[label].items()}}
         for label, table in edges.items()
     }
     # element names may repeat across the sides; the engine reads only ids
-    union = FuzzyGraph._from_ids(
-        i1.algebra, i1.names + i2.names, labels + labels2, label_names | label_names2, edges
-    )
+    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, labels, edges)
     pairs: set[tuple[int, int]] = set()
     for block in compcb(union).blocks:
         left = [x for x in block if x < n1]
@@ -665,20 +667,15 @@ def interpretation_to_graph(i: Interpretation, phi: FeatureSet) -> FuzzyGraph:
 
 def _encoding(
     i: Interpretation, phi: FeatureSet
-) -> tuple[list[dict[str, Degree]], set[str], dict[str, Mapping[tuple[int, int], Degree]]]:
-    """Vertex labels, label names and per-label edge tables of i's graph
-    encoding; shared with `largest_bisimulation`'s disjoint union.  The
-    forward tables are i's own role tables, not copies."""
-    labels: list[dict[str, Degree]] = [{} for _ in range(i.n)]
-    label_names: set[str] = set()
-    for cname in i.concept_names:
-        for x, degree in i._concepts[cname].items():
-            labels[x][cname] = degree
-            label_names.add(cname)
-    if phi.nominal:
-        for a in i.individual_names:
-            labels[i.individuals[a]][a] = i.algebra.top
-            label_names.add(a)
+) -> tuple[dict[str, Mapping[int, Degree]], dict[str, Mapping[tuple[int, int], Degree]]]:
+    """Per-label vertex tables {x: degree} and edge tables {(x, y): degree}
+    of i's graph encoding, shared with `largest_bisimulation`'s disjoint
+    union: i's own non-empty concept tables, plus one {x: top} table per
+    individual under nominals, and i's own role tables, only read."""
+    labels: dict[str, Mapping[int, Degree]] = {c: t for c, t in i._concepts.items() if t}
+    if phi.nominal:  # names are unique across concepts and individuals
+        for a, x in i.individuals.items():
+            labels[a] = {x: i.algebra.top}
 
     edges: dict[str, Mapping[tuple[int, int], Degree]] = dict(i._roles)
     if phi.inverse:
@@ -689,7 +686,7 @@ def _encoding(
                     f"role name {reversed_label!r} collides with the inverse label of {rname!r}"
                 )
             edges[reversed_label] = {(y, x): d for (x, y), d in i._roles[rname].items()}
-    return labels, label_names, edges
+    return labels, edges
 
 
 def block_name(members: Iterable[str]) -> str:

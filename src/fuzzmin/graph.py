@@ -1,10 +1,10 @@
 """Fuzzy labeled graphs: the input structure of the partition-refinement engine.
 
-A graph has dense vertex ids, fuzzy vertex labels (absent label = bottom)
-and sparse labeled edges holding strictly positive degrees.  Graphs are
-immutable after construction and all degrees belong to one shared algebra.
-The edges are stored once, as per-label incoming lists; there is no
-outgoing adjacency.
+A graph has dense vertex ids, fuzzy vertex labels and sparse labeled edges
+holding strictly positive degrees.  Graphs are immutable after construction
+and all degrees belong to one shared algebra.  Both are stored per label:
+a vertex label as one {vertex: degree} table (absent = bottom), an edge
+label as per-target incoming lists; there is no outgoing adjacency.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ class GraphStats:
 class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
+    Each vertex label is one {vertex: degree} table without bottom degrees,
+    kept as given; `label_vector` and `initial_partition` read one column
+    per label.
     Edge degrees are interned once: `levels` holds bottom at index 0 and the
     distinct edge degrees in ascending order after it.  The edges are stored
     once, per label and target, as (source, rank) lists with ranks into
@@ -53,15 +56,14 @@ class FuzzyGraph:
         self._id: dict[str, int] = {name: i for i, name in enumerate(names)}
 
         parse = degree_parser(algebra)
-        labels: list[dict[str, Degree]] = [{} for _ in names]
-        label_names: set[str] = set()
+        labels: dict[str, dict[int, Degree]] = {}
         for vname, assignment in (vertex_labels or {}).items():
             v = self.vertex_id(vname)
             for label, degree in assignment.items():
                 degree = parse(degree)
-                label_names.add(label)
+                table = labels.setdefault(label, {})  # kept even if all bottom
                 if degree != algebra.bottom:
-                    labels[v][label] = degree
+                    table[v] = degree
 
         tables: dict[str, dict[tuple[int, int], Degree]] = {}
         for sname, label, tname, degree in edges:
@@ -75,38 +77,36 @@ class FuzzyGraph:
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )
             table[s, t] = degree
-        self._build(algebra, names, labels, label_names, tables)
+        self._build(algebra, names, labels, tables)
 
     @classmethod
     def _from_ids(
         cls,
         algebra: Algebra,
         names: tuple[str, ...],
-        labels: list[dict[str, Degree]],
-        label_names: Iterable[str],
+        labels: Mapping[str, Mapping[int, Degree]],
         edges: Mapping[str, Mapping[tuple[int, int], Degree]],
     ) -> "FuzzyGraph":
-        """A graph from vertex ids and already checked degrees: labels hold no
-        bottom degrees, and `edges` maps each edge label to a {(source,
-        target): degree} table, only read, that holds no zero degrees."""
+        """A graph from vertex ids and already checked degrees, as per-label
+        tables that are only read: {vertex: degree} in `labels`, with no bottom
+        degrees, and {(source, target): degree} in `edges`, with no zeros."""
         g = cls.__new__(cls)
         g._id = {name: i for i, name in enumerate(names)}
-        g._build(algebra, names, labels, label_names, edges)
+        g._build(algebra, names, labels, edges)
         return g
 
     def _build(
         self,
         algebra: Algebra,
         names: tuple[str, ...],
-        labels: list[dict[str, Degree]],
-        label_names: Iterable[str],
+        labels: Mapping[str, Mapping[int, Degree]],
         edges: Mapping[str, Mapping[tuple[int, int], Degree]],
     ) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
-        self.vertex_label_names: tuple[str, ...] = tuple(sorted(label_names))
-        self._labels: tuple[dict[str, Degree], ...] = tuple(labels)
+        self.vertex_label_names: tuple[str, ...] = tuple(sorted(labels))
+        self._labels = labels
 
         # rank the edge degrees by object id, hashing each distinct degree
         # object once (a reversed edge shares its degree object with the
@@ -179,11 +179,10 @@ class FuzzyGraph:
         return self.levels[max((r for t in targets for s, r in incoming[t] if s == v), default=0)]
 
     def label_vector(self, v: int) -> tuple[Degree, ...]:
-        """Dense label degrees of v, in sorted label-name order."""
+        """Dense label degrees of v, one per label table in sorted name order."""
         self._check_vertex(v)
         bottom = self.algebra.bottom
-        mine = self._labels[v]
-        return tuple(mine.get(name, bottom) for name in self.vertex_label_names)
+        return tuple(self._labels[name].get(v, bottom) for name in self.vertex_label_names)
 
     def initial_partition(self) -> Partition:
         """Group vertices by label vector and per-label sup of all outgoing degrees."""
@@ -191,11 +190,12 @@ class FuzzyGraph:
 
     def _initial_blocks(self) -> list[list[int]]:
         """`initial_partition`'s sorted blocks in `Partition`'s order (by least
-        vertex), from one pass over each label's incoming lists."""
+        vertex), from one column per vertex label and per edge label."""
         if self.n == 0:
             raise UsageError("graph has no vertices")
-        bottom, names = self.algebra.bottom, self.vertex_label_names
-        columns = [[tuple(mine.get(name, bottom) for name in names) for mine in self._labels]]
+        bottom, tables = self.algebra.bottom, self._labels
+        columns = [[tables[name].get(v, bottom) for v in range(self.n)]
+                   for name in self.vertex_label_names]
         for label in self.edge_label_names:
             sup = [0] * self.n
             for sources in self.incoming(label):
@@ -204,7 +204,7 @@ class FuzzyGraph:
                         sup[s] = rank
             columns.append(sup)
         groups: dict[tuple, list[int]] = {}
-        for v, key in enumerate(zip(*columns)):
+        for v, key in enumerate(zip(*columns) if columns else [()] * self.n):
             groups.setdefault(key, []).append(v)
         return list(groups.values())
 

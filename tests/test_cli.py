@@ -205,6 +205,13 @@ def test_verify_zero_cases_trivially_pass(capsys):
     assert main(["verify", "--cases", "0"]) == 0
 
 
+def test_verify_negative_cases_exits_2(capsys):
+    assert main(["verify", "--cases", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_detects_mutations(monkeypatch, capsys):
     def merge_first_two_blocks(g):
         p = compcb(g)

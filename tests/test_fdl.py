@@ -289,6 +289,15 @@ def test_largest_bisimulation_empty_when_labels_differ():
     assert largest_bisimulation(a, b, PHI_PSI) == set()
 
 
+def test_largest_bisimulation_takes_labels_of_both_sides():
+    # A is bottom everywhere in a, so a's encoding has no label A at all
+    a = Interpretation(GODEL, ["x"], concepts={"A": {"x": "0"}}, roles={"r": []})
+    b = Interpretation(GODEL, ["y", "z"], concepts={"A": {"y": "0.5"}}, roles={"r": []})
+    base = FeatureSet.from_names(["baaz"])
+    assert largest_bisimulation(a, b, base) == {(0, 1)}
+    assert largest_bisimulation(b, a, base) == {(1, 0)}
+
+
 def test_largest_bisimulation_universal_empties_partial_fixpoint():
     base = FeatureSet.from_names(["baaz"])
     a = Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": "1", "y": "0.5"}}, roles={"r": []})
@@ -401,6 +410,14 @@ def test_encoding_nominal_labels():
     a = g.vertex_id("a")
     assert g.label_vector(a) == (F(1),)
     assert all(g.label_vector(v) == (F(0),) for v in range(g.n) if v != a)
+
+
+def test_encoding_drops_concepts_without_a_non_bottom_degree():
+    i = Interpretation(GODEL, ["u", "v"], concepts={"A": {"u": "0", "v": "0"}, "B": {"v": "0.5"}},
+                       roles={"r": []})
+    g = interpretation_to_graph(i, PHI_PSI)
+    assert g.vertex_label_names == ("B",)
+    assert [g.label_vector(v) for v in range(g.n)] == [(F(0),), (F(1, 2),)]
 
 
 def test_encoding_inverse_doubles_edges():

@@ -268,4 +268,13 @@ def test_out_edges_errors():
         g.out_edges(3, "r")
     with pytest.raises(UsageError):
         g.out_edges(0, "nope")
-    assert list(g.out_edges(0, "r").items()) == [(1, F("0.7")), (2, F("0.9"))]  # input order
+    assert list(g.out_edges(0, "r").items()) == [(1, F("0.7")), (2, F("0.9"))]  # target order
+
+
+def test_constructor_keeps_a_vertex_label_that_is_bottom_everywhere():
+    g = FuzzyGraph(GODEL, ["u"], {"u": {"A": "0"}})
+    assert g.vertex_label_names == ("A",)
+    assert g.label_vector(0) == (GODEL.bottom,)
+    mixed = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "0", "B": "0"}, "v": {"B": "0.5"}})
+    assert mixed.vertex_label_names == ("A", "B")
+    assert [mixed.label_vector(v) for v in range(mixed.n)] == [(F(0), F(0)), (F(0), F(1, 2))]
