@@ -48,6 +48,7 @@ from .fdl import (
     eval_concept,
     eval_role,
     interpretation_from_json,
+    interpretation_json_pieces,
     interpretation_to_graph,
     interpretation_to_json,
     is_bisimulation,

@@ -30,6 +30,10 @@ ONE = Fraction(1)
 # outside: Fraction and int expand "1e999999999" or a huge literal in full.
 MAX_NUMBER_DIGITS = 1000
 
+# Largest finite lattice: load_lattice checks its laws over all size**3
+# triples, so a larger chain is rejected before any table is built.
+MAX_LATTICE_SIZE = 32
+
 
 def check_number_text(text: str) -> str:
     """Return numeric text unchanged, or raise UsageError when it has more
@@ -267,8 +271,14 @@ class FiniteLatticeAlgebra(Algebra):
         neg_table: Sequence[int],
         name: str = "lattice",
     ):
+        if type(size) is not int:
+            raise UsageError(f"finite lattice size {size!r} is not an integer")
         if size < 2:
             raise UsageError("finite lattice needs at least two elements (0 and top)")
+        if size > MAX_LATTICE_SIZE:
+            raise UsageError(
+                f"finite lattice of {size} elements too large: at most {MAX_LATTICE_SIZE}"
+            )
         self.size = size
         self.name = name
         self._tnorm = self._table2(tnorm_table, "tnorm")
@@ -283,13 +293,16 @@ class FiniteLatticeAlgebra(Algebra):
         return value
 
     def _table2(self, table, label: str) -> tuple[tuple[int, ...], ...]:
-        if len(table) != self.size or any(len(row) != self.size for row in table):
-            raise UsageError(f"{label} table must be {self.size}x{self.size}")
+        if not (
+            _is_list(table) and len(table) == self.size
+            and all(_is_list(row) and len(row) == self.size for row in table)
+        ):
+            raise UsageError(f"{label} table must be a {self.size}x{self.size} list of lists")
         return tuple(tuple(self._entry(v, label) for v in row) for row in table)
 
     def _table1(self, table, label: str) -> tuple[int, ...]:
-        if len(table) != self.size:
-            raise UsageError(f"{label} table must have {self.size} entries")
+        if not (_is_list(table) and len(table) == self.size):
+            raise UsageError(f"{label} table must be a list of {self.size} entries")
         return tuple(self._entry(v, label) for v in table)
 
     @property
@@ -344,6 +357,10 @@ class FiniteLatticeAlgebra(Algebra):
                 f"constant {frac} is not a chain index; lattice algebras take integer constants"
             )
         return self.check(int(frac))
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
 
 
 def check_axioms(algebra: Algebra, triples: Iterable[tuple[Degree, Degree, Degree]] | None = None) -> list[str]:

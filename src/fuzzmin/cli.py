@@ -10,9 +10,11 @@ identical inputs and flags; timing lines go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+from typing import Iterable
 
 from .algebra import bundled_lattice_path, load_lattice, make_algebra, read_json
 from .errors import UsageError
@@ -22,8 +24,9 @@ from .fdl import (
     canonical_relation,
     eval_concept,
     interpretation_from_json,
+    interpretation_json_pieces,
     interpretation_to_graph,
-    interpretation_to_json,
+    interpretation_to_json,  # not called here; bench/spans.py wraps it by name
     is_bisimulation,
     largest_bisimulation,
     load_interpretation,
@@ -69,7 +72,8 @@ def _render_block_family(blocks, names) -> str:
     return _render_blocks(rendered)
 
 
-def _write_output(args, text: str) -> None:
+def _write_output(args, pieces: Iterable[str]) -> None:
+    text = "".join(pieces)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
@@ -78,25 +82,34 @@ def _write_output(args, text: str) -> None:
 
 
 def cmd_minimize(args) -> int:
-    algebra = make_algebra(args.algebra)
-    phi = _features(args.features)
-    interp = load_interpretation(args.input, algebra)
-    if args.prune:
-        if phi.universal:
-            raise UsageError("--prune applies only when the universal role is disabled")
-        interp = prune_unreachable(interp, phi)
-    start = time.perf_counter()
-    g = interpretation_to_graph(interp, phi)
-    p = compcb(g)
-    reduced = quotient(interp, p, g)
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    _write_output(args, json.dumps(interpretation_to_json(reduced), indent=1) + "\n")
-    stats = g.stats()
-    print(
-        f"n={stats.n} m={stats.m} l={stats.l} blocks={len(p)} elapsed_ms={elapsed_ms:.2f}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    # No stage of minimize makes a reference cycle (tests/test_cycles.py), so
+    # reference counting frees everything it allocates; the cyclic collector
+    # would only re-scan the graph's many live tuples and aggregates.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        algebra = make_algebra(args.algebra)
+        phi = _features(args.features)
+        interp = load_interpretation(args.input, algebra)
+        if args.prune:
+            if phi.universal:
+                raise UsageError("--prune applies only when the universal role is disabled")
+            interp = prune_unreachable(interp, phi)
+        start = time.perf_counter()
+        g = interpretation_to_graph(interp, phi)
+        p = compcb(g)
+        reduced = quotient(interp, p, g)
+        elapsed_ms = (time.perf_counter() - start) * 1000
+        _write_output(args, interpretation_json_pieces(reduced))
+        stats = g.stats()
+        print(
+            f"n={stats.n} m={stats.m} l={stats.l} blocks={len(p)} elapsed_ms={elapsed_ms:.2f}",
+            file=sys.stderr,
+        )
+        return EXIT_OK
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def cmd_partition(args) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
@@ -872,6 +873,58 @@ def interpretation_to_json(i: Interpretation) -> dict:
             for rname in i.role_names
         },
     }
+
+
+def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
+    """Pieces of text that join to `json.dumps(interpretation_to_json(i),
+    indent=1) + "\n"`, byte for byte.
+
+    Each element name is encoded once, with the `encode_basestring_ascii`
+    that `json.dumps` uses, and each distinct degree is formatted once.
+    Unlike `json.dumps` with `indent`, it makes no reference cycles.
+    """
+    names = [encode_basestring_ascii(name) for name in i.names]
+    fmt = i.algebra.format_degree
+    texts: dict[Degree, str] = {}
+
+    def degree_text(degree: Degree) -> str:
+        text = texts.get(degree)
+        if text is None:
+            text = texts[degree] = encode_basestring_ascii(fmt(degree))
+        return text
+
+    yield "{\n \"domain\": "
+    yield _json_container("[", "]", names, 1)
+    yield ",\n \"individuals\": "
+    yield _json_container("{", "}", [
+        f"{encode_basestring_ascii(a)}: {names[x]}" for a, x in sorted(i.individuals.items())
+    ], 1)
+    yield ",\n \"concepts\": "
+    yield _json_container("{", "}", [
+        f"{encode_basestring_ascii(cname)}: " + _json_container("{", "}", [
+            f"{names[x]}: {degree_text(degree)}"
+            for x, degree in sorted(i._concepts[cname].items())
+        ], 2)
+        for cname in i.concept_names
+    ], 1)
+    yield ",\n \"roles\": "
+    yield _json_container("{", "}", [
+        f"{encode_basestring_ascii(rname)}: " + _json_container("[", "]", [
+            f"[\n    {names[x]},\n    {names[y]},\n    {degree_text(degree)}\n   ]"
+            for (x, y), degree in sorted(i.role_instances(rname).items())
+        ], 2)
+        for rname in i.role_names
+    ], 1)
+    yield "\n}\n"
+
+
+def _json_container(open_: str, close: str, items: list[str], depth: int) -> str:
+    """A JSON array or object at `depth`, laid out as `json.dumps` lays it
+    out with `indent=1`, from its already rendered items."""
+    if not items:
+        return open_ + close
+    inner = "\n" + " " * (depth + 1)
+    return f"{open_}{inner}{(',' + inner).join(items)}\n{' ' * depth}{close}"
 
 
 def load_interpretation(path: str, algebra: Algebra) -> Interpretation:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzmin import FeatureSet, FuzzyGraph, GodelAlgebra, Interpretation, UsageError
-from fuzzmin.algebra import bundled_lattice_path, degree_parser, load_lattice
+from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, degree_parser, load_lattice
 from fuzzmin.cli import main
 from fuzzmin.fdl import interpretation_from_json, load_relation
 from fuzzmin.graph import graph_from_json
@@ -195,3 +195,62 @@ EXPRESSIONS = st.one_of(
 def test_fuzz_parse_concept(text, full):
     phi = FeatureSet.full() if full else FeatureSet.from_names(["baaz"])
     _only_usage_errors(parse_concept, text, phi)
+
+
+def _godel_chain(size: int) -> dict:
+    """A well-formed Godel chain of `size` elements as a lattice document."""
+    top = size - 1
+    return {
+        "chain": size,
+        "tnorm": [[min(a, b) for b in range(size)] for a in range(size)],
+        "snorm": [[max(a, b) for b in range(size)] for a in range(size)],
+        "residuum": [[top if a <= b else b for b in range(size)] for a in range(size)],
+        "neg": [top] + [0] * top,
+    }
+
+
+@pytest.fixture(scope="module")
+def lattice_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lattice") / "lattice.json"
+
+
+@pytest.mark.parametrize("key,value", [("chain", "5"), ("chain", None), ("chain", 2.5),
+                                       ("chain", True), ("tnorm", 3), ("tnorm", [0, 1, 2]),
+                                       ("neg", 7), ("residuum", "abc")])
+def test_malformed_lattice_exits_2(key, value, lattice_path, tmp_path, capsys):
+    lattice_path.write_text(json.dumps({**_godel_chain(3), key: value}))
+    interp = tmp_path / "one.json"
+    interp.write_text('{"domain": ["u"]}')
+    assert main(["minimize", "--input", str(interp), "--algebra", f"lattice:{lattice_path}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lattice_above_the_size_cap_exits_2_fast(lattice_path, tmp_path, capsys):
+    lattice_path.write_text(json.dumps(_godel_chain(MAX_LATTICE_SIZE)))
+    assert load_lattice(str(lattice_path)).size == MAX_LATTICE_SIZE
+    lattice_path.write_text(json.dumps(_godel_chain(MAX_LATTICE_SIZE + 1)))
+    interp = tmp_path / "one.json"
+    interp.write_text('{"domain": ["u"]}')
+    start = time.perf_counter()
+    assert main(["minimize", "--input", str(interp), "--algebra", f"lattice:{lattice_path}"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "too large" in capsys.readouterr().err
+
+
+def _table(size: int, width: int):
+    return st.lists(st.lists(st.integers(-1, size), min_size=width, max_size=width),
+                    min_size=width, max_size=width)
+
+
+LATTICE_DOCS = _mostly(st.integers(1, 4).flatmap(lambda size: st.fixed_dictionaries({
+    "chain": st.one_of(st.just(size), st.integers(-2, 2 * MAX_LATTICE_SIZE), SCALARS),
+    **{key: _mostly(_table(size, size)) for key in ("tnorm", "snorm", "residuum")},
+    "neg": _mostly(st.lists(st.integers(-1, size), min_size=size, max_size=size)),
+})))
+
+
+@FUZZ
+@given(doc=LATTICE_DOCS)
+def test_fuzz_load_lattice(lattice_path, doc):
+    lattice_path.write_text(json.dumps(doc))
+    _only_usage_errors(load_lattice, str(lattice_path))
