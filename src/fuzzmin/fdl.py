@@ -880,17 +880,19 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
     indent=1) + "\n"`, byte for byte.
 
     Each element name is encoded once, with the `encode_basestring_ascii`
-    that `json.dumps` uses, and each distinct degree is formatted once.
+    that `json.dumps` uses, and each degree object is formatted once.
     Unlike `json.dumps` with `indent`, it makes no reference cycles.
     """
     names = [encode_basestring_ascii(name) for name in i.names]
     fmt = i.algebra.format_degree
-    texts: dict[Degree, str] = {}
+    # keyed by object id, not by degree: `Fraction.__hash__` is slow, and
+    # i's tables keep every degree alive, so no id is reused meanwhile
+    texts: dict[int, str] = {}
 
     def degree_text(degree: Degree) -> str:
-        text = texts.get(degree)
+        text = texts.get(id(degree))
         if text is None:
-            text = texts[degree] = encode_basestring_ascii(fmt(degree))
+            text = texts[id(degree)] = encode_basestring_ascii(fmt(degree))
         return text
 
     yield "{\n \"domain\": "

@@ -15,14 +15,17 @@ builds no reference cycles and is freed on return.  Blocks and Q-blocks
 their ids count up from 0:
 - `blk[v]` is the id of the block holding vertex v, `members[bid]` its
   vertices, and `qof[li][bid]` the id of the label-li Q-block holding it;
-- `qmembers[qid]` holds a Q-block's block ids, `qlabel[qid]` its label
-  index and `queued[qid]` whether it waits in its label's queue;
+- `qbids[qid][qhead[qid]:]` are a Q-block's block ids, `qlabel[qid]` its
+  label index and `queued[qid]` whether it waits in its label's queue;
 - `agg[qid][x]` aggregates the ranks of source x's edges into Q-block qid,
   per its label: a bare int rank while one edge is counted, promoted to a
   `DegreeAggregate` when a second edge arrives.  Sources without such
   edges have no entry.
-`members` and `qmembers` are dicts used as ordered sets, so the walks over
-them, and with them the block ids and the trace, follow insertion order.
+`members` are dicts used as ordered sets and `qbids` are lists, so the
+walks over them, and with them the block ids and the trace, follow
+insertion order.  A Q-block loses only blocks at its front (its first or
+second), so it drops them by moving its head: reading its first two
+blocks costs O(1), where a dict would skip every slot deleted before them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,18 @@ class DegreeAggregate:
             return not counts
         counts[degree] = count - 1
         return False
+
+    @classmethod
+    def pair(cls, first, second) -> "DegreeAggregate":
+        """The multiset {first, second}, as two `add` calls would build it."""
+        agg = cls.__new__(cls)
+        if first == second:
+            agg._counts = {first: 2}
+            agg._heap = [-first]
+        else:
+            agg._counts = {first: 1, second: 1}
+            agg._heap = [-first, -second] if first > second else [-second, -first]
+        return agg
 
     def max(self):
         """Largest degree present, or None when empty."""
@@ -156,6 +171,7 @@ class _Refiner:
         self.g = g
         self.debug = debug
         self.labels = g.edge_label_names
+        self.width = len(g.levels)
         blocks = g._initial_blocks()
         self.members: list[dict[int, None]] = [dict.fromkeys(block) for block in blocks]
         self.blk: list[int] = [0] * g.n
@@ -164,39 +180,51 @@ class _Refiner:
                 self.blk[v] = bid
         self.incoming = [g.incoming(label) for label in self.labels]
         self.qof: list[list[int]] = []
-        self.qmembers: list[dict[int, None]] = []
+        self.qbids: list[list[int]] = []
+        self.qhead: list[int] = []
         self.qlabel: list[int] = []
         self.queued: list[bool] = []
         self.agg: list[dict[int, int | DegreeAggregate]] = []
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
+        pair = DegreeAggregate.pair
         for li, incoming in enumerate(self.incoming):
-            qid = self._new_qblock(li, dict.fromkeys(range(len(self.members))))
+            qid = self._new_qblock(li, list(range(len(self.members))))
             self.qof.append([qid] * len(self.members))
             aggs = self.agg[qid]
+            get = aggs.get
             for sources in incoming:
                 for x, rank in sources:
-                    _add_rank(aggs, x, rank)
+                    # a bare int rank until a second edge of x arrives
+                    held = get(x)
+                    if held is None:
+                        aggs[x] = rank
+                    elif type(held) is int:
+                        aggs[x] = pair(held, rank)
+                    else:
+                        held.add(rank)
             self._enqueue_if_compound(qid)
 
-    def _new_qblock(self, label_idx: int, bids: dict[int, None]) -> int:
+    def _new_qblock(self, label_idx: int, bids: list[int]) -> int:
         qid = len(self.qlabel)
-        self.qmembers.append(bids)
+        self.qbids.append(bids)
+        self.qhead.append(0)
         self.qlabel.append(label_idx)
         self.queued.append(False)
         self.agg.append({})
         return qid
 
     def _enqueue_if_compound(self, qid: int) -> None:
-        if not self.queued[qid] and len(self.qmembers[qid]) >= 2:
+        if not self.queued[qid] and len(self.qbids[qid]) - self.qhead[qid] >= 2:
             self.queued[qid] = True
             self.queues[self.qlabel[qid]].append(qid)
 
     def _vertices(self, qid: int) -> frozenset[int]:
-        return frozenset().union(*(self.members[bid] for bid in self.qmembers[qid]))
+        bids = self.qbids[qid][self.qhead[qid]:]
+        return frozenset().union(*(self.members[bid] for bid in bids))
 
     def run(self, on_iteration: Callable[[TraceStep], None] | None = None) -> Partition:
-        members = self.members
+        members, qbids, qhead = self.members, self.qbids, self.qhead
         step = 0
         while True:
             qid = self._pop_compound()
@@ -204,9 +232,8 @@ class _Refiner:
                 break
             step += 1
             # the smaller of the first two contained blocks is at most half of Y
-            it = iter(self.qmembers[qid])
-            first = next(it)
-            second = next(it)
+            bids, head = qbids[qid], qhead[qid]
+            first, second = bids[head], bids[head + 1]
             y_prime = first if len(members[first]) <= len(members[second]) else second
             if on_iteration:
                 # Y' and Y as used by this split, before Y' itself may split
@@ -242,8 +269,13 @@ class _Refiner:
         """Replace Q-block qid by block y_prime and its complement, then re-split
         P by the pair of sups into the two halves.  Returns True when P changed."""
         li = self.qlabel[qid]
-        del self.qmembers[qid][y_prime]
-        new_qid = self._new_qblock(li, {y_prime: None})
+        # y_prime is the first or second block of qid: drop it from the front,
+        # keeping the others in order
+        bids, head = self.qbids[qid], self.qhead[qid]
+        if bids[head] != y_prime:
+            bids[head + 1] = bids[head]
+        self.qhead[qid] = head + 1
+        new_qid = self._new_qblock(li, [y_prime])
         self.qof[li][y_prime] = new_qid
         self._enqueue_if_compound(qid)
 
@@ -251,49 +283,72 @@ class _Refiner:
         # sources with an aggregate into y_prime are the affected ones
         incoming = self.incoming[li]
         old_aggs, new_aggs = self.agg[qid], self.agg[new_qid]
+        get_new = new_aggs.get
+        pair = DegreeAggregate.pair
         for y in self.members[y_prime]:
             for x, rank in incoming[y]:
                 old = old_aggs[x]
                 if type(old) is int or old.remove(rank):
                     del old_aggs[x]
-                _add_rank(new_aggs, x, rank)
+                held = get_new(x)
+                if held is None:
+                    new_aggs[x] = rank
+                elif type(held) is int:
+                    new_aggs[x] = pair(held, rank)
+                else:
+                    held.add(rank)
 
-        # group affected sources by their (sup into y_prime, sup into rest)
-        # pair, as the one int sup_prime * width + sup_rest
-        width = len(self.g.levels)
+        # group affected sources per block by their (sup into y_prime, sup
+        # into rest) pair, as the one int sup_prime * width + sup_rest
+        width = self.width
         groups: dict[int, dict[int, list[int]]] = {}
-        blk = self.blk
+        get_groups = groups.get
+        get_old = old_aggs.get
+        blk, members = self.blk, self.members
         for x, new in new_aggs.items():
-            rest = old_aggs.get(x, 0)
+            bid = blk[x]
+            if len(members[bid]) == 1:
+                continue  # a one-vertex block cannot split
+            rest = get_old(x, 0)
             if type(new) is not int:
                 new = new.max()
             if type(rest) is not int:
                 rest = rest.max()
-            groups.setdefault(blk[x], {}).setdefault(new * width + rest, []).append(x)
+            key = new * width + rest
+            by_key = get_groups(bid)
+            if by_key is None:
+                groups[bid] = {key: [x]}
+            else:
+                group = by_key.get(key)
+                if group is None:
+                    by_key[key] = [x]
+                else:
+                    group.append(x)
 
         changed = False
-        members, qof, qmembers = self.members, self.qof, self.qmembers
+        qbids, queued, queues = self.qbids, self.queued, self.queues
         for bid, by_key in groups.items():
             verts = members[bid]
-            n_affected = sum(len(vs) for vs in by_key.values())
-            has_unaffected = len(verts) > n_affected
-            if not has_unaffected and len(by_key) == 1:
-                continue  # whole block moved together
+            movers = list(by_key.values())
+            if len(movers) == 1:
+                if len(movers[0]) == len(verts):
+                    continue  # whole block moved together
+            elif sum(map(len, movers)) == len(verts):
+                del movers[0]  # no unaffected vertex: first group stays in bid
             changed = True
-            movers = iter(by_key.values())
-            if not has_unaffected:
-                next(movers)  # first group stays in bid
             for moved in movers:
                 new_bid = len(members)
                 members.append(dict.fromkeys(moved))
                 for v in moved:
                     del verts[v]
                     blk[v] = new_bid
-                for qof_label in qof:
+                for label_idx, qof_label in enumerate(self.qof):
                     q = qof_label[bid]
                     qof_label.append(q)
-                    qmembers[q][new_bid] = None
-                    self._enqueue_if_compound(q)
+                    qbids[q].append(new_bid)
+                    if not queued[q]:  # compound: it holds bid and new_bid
+                        queued[q] = True
+                        queues[label_idx].append(q)
         return changed
 
     def _check_aggregates(self) -> None:
@@ -311,17 +366,6 @@ class _Refiner:
             assert held == fresh, f"q{qid} aggregates hold sup ranks {held}, expected {fresh}"
             held_edges = sum(1 if type(agg) is int else len(agg) for agg in aggs.values())
             assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
-
-
-def _add_rank(aggs: dict[int, int | DegreeAggregate], x: int, rank: int) -> None:
-    """Count one edge of source x: a bare int rank until a second edge arrives."""
-    held = aggs.get(x)
-    if held is None:
-        aggs[x] = rank
-    elif type(held) is int:
-        aggs[x] = DegreeAggregate((held, rank))
-    else:
-        held.add(rank)
 
 
 def compcb(

@@ -275,9 +275,12 @@ def test_criterion_7_complexity_smoke():
     try:
         for k, (n, m) in enumerate(sizes):
             g = _perf_graph(n, m, 8, k)
-            start = time.perf_counter()
-            compcb(g)
-            elapsed = time.perf_counter() - start
+            # best of three, so a slow stretch of the host is not read as growth
+            elapsed = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                compcb(g)
+                elapsed = min(elapsed, time.perf_counter() - start)
             ratios.append(elapsed / (m * math.log(m)))
     finally:
         if gc_was_enabled:

@@ -79,6 +79,17 @@ def test_aggregate_matches_sorted_model():
         assert len(agg) == len(model)
 
 
+@pytest.mark.parametrize("first,second", [(1, 2), (2, 1), (3, 3)])
+def test_aggregate_pair_matches_two_adds(first, second):
+    paired = DegreeAggregate.pair(first, second)
+    added = DegreeAggregate((first, second))
+    assert (paired._counts, paired._heap) == (added._counts, added._heap)
+    assert paired.max() == max(first, second) and len(paired) == 2
+    assert not paired.remove(second)
+    assert paired.max() == first
+    assert paired.remove(first) and paired.max() is None
+
+
 # --- split ---------------------------------------------------------------------
 
 def test_split_golden_forward_label():
