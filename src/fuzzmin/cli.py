@@ -21,6 +21,7 @@ from .errors import UsageError
 from .fdl import (
     FeatureSet,
     Interpretation,
+    block_name,
     canonical_relation,
     eval_concept,
     interpretation_from_json,
@@ -60,16 +61,12 @@ def _features(arg: str) -> FeatureSet:
 
 
 def _render_blocks(member_lists: list[list[str]]) -> str:
-    return "{" + ",".join("{" + ",".join(members) + "}" for members in member_lists) + "}"
-
-
-def _render_vertex_set(verts, names) -> str:
-    return "{" + ",".join(sorted(names[v] for v in verts)) + "}"
+    return "{" + ",".join(map(block_name, member_lists)) + "}"
 
 
 def _render_block_family(blocks, names) -> str:
-    rendered = sorted(sorted(names[v] for v in block) for block in blocks)
-    return _render_blocks(rendered)
+    # sorted as member lists, not as rendered text: "{a,b}" < "{a}" as text
+    return _render_blocks(sorted(sorted(names[v] for v in block) for block in blocks))
 
 
 def _write_output(args, pieces: Iterable[str]) -> None:
@@ -92,8 +89,6 @@ def cmd_minimize(args) -> int:
         phi = _features(args.features)
         interp = load_interpretation(args.input, algebra)
         if args.prune:
-            if phi.universal:
-                raise UsageError("--prune applies only when the universal role is disabled")
             interp = prune_unreachable(interp, phi)
         start = time.perf_counter()
         g = interpretation_to_graph(interp, phi)
@@ -119,8 +114,8 @@ def cmd_partition(args) -> int:
     def trace(step: TraceStep) -> None:
         head = (
             f"{step.index}. split w.r.t. "
-            f"<Y'={_render_vertex_set(step.y_prime, g.names)}, "
-            f"Y={_render_vertex_set(step.y, g.names)}, {step.label}>"
+            f"<Y'={block_name(g.names[v] for v in step.y_prime)}, "
+            f"Y={block_name(g.names[v] for v in step.y)}, {step.label}>"
         )
         if step.changed:
             head += f": P = {_render_block_family(step.partition, g.names)}"

@@ -167,25 +167,33 @@ class UniversalRole(RoleNode):
 
 
 def check_features(node, phi: FeatureSet) -> None:
-    """Raise FeatureError if the expression uses a constructor outside phi."""
-    if isinstance(node, Nominal) and not phi.nominal:
-        raise FeatureError("nominal {a} requires feature 'nominal'")
-    if isinstance(node, InverseRole) and not phi.inverse:
-        raise FeatureError("role inverse '-' requires feature 'inverse'")
-    if isinstance(node, ComposeRole) and not phi.comp:
-        raise FeatureError("role composition ';' requires feature 'comp'")
-    if isinstance(node, UnionRole) and not phi.union:
-        raise FeatureError("role union '|' requires feature 'union'")
-    if isinstance(node, StarRole) and not phi.star:
-        raise FeatureError("role closure '*' requires feature 'star'")
-    if isinstance(node, TestRole) and not phi.test:
-        raise FeatureError("role test '?' requires feature 'test'")
-    if isinstance(node, UniversalRole) and not phi.universal:
-        raise FeatureError("universal role 'U' requires feature 'universal'")
-    for attr in ("child", "left", "right", "role", "concept"):
-        sub = getattr(node, attr, None)
-        if sub is not None:
-            check_features(sub, phi)
+    """Raise FeatureError if the expression uses a constructor outside phi.
+
+    The walk keeps its own stack: the parser reads a chain of '&', '|' or
+    ';' in a loop, so a parsed tree can be deeper than the recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Nominal) and not phi.nominal:
+            raise FeatureError("nominal {a} requires feature 'nominal'")
+        if isinstance(node, InverseRole) and not phi.inverse:
+            raise FeatureError("role inverse '-' requires feature 'inverse'")
+        if isinstance(node, ComposeRole) and not phi.comp:
+            raise FeatureError("role composition ';' requires feature 'comp'")
+        if isinstance(node, UnionRole) and not phi.union:
+            raise FeatureError("role union '|' requires feature 'union'")
+        if isinstance(node, StarRole) and not phi.star:
+            raise FeatureError("role closure '*' requires feature 'star'")
+        if isinstance(node, TestRole) and not phi.test:
+            raise FeatureError("role test '?' requires feature 'test'")
+        if isinstance(node, UniversalRole) and not phi.universal:
+            raise FeatureError("universal role 'U' requires feature 'universal'")
+        # pushed last-first, so children are visited child, left, right,
+        # role, concept: the order of a recursive pre-order walk
+        for attr in ("concept", "role", "right", "left", "child"):
+            sub = getattr(node, attr, None)
+            if sub is not None:
+                stack.append(sub)
 
 
 # --- assertions and axioms --------------------------------------------------
@@ -759,9 +767,14 @@ def canonical_relation(
 
 def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
     """Drop every element not reachable from a named individual via
-    positive-degree basic roles (inverse steps included when enabled)."""
+    positive-degree basic roles (inverse steps included when enabled).
+
+    Only without the universal role: `some U . C` reads every element, so
+    dropping one can change a degree at a named individual."""
     if not i.individual_names:
         raise UsageError("pruning needs at least one named individual")
+    if phi.universal:
+        raise UsageError("pruning applies only when the universal role is disabled")
     outs = [i.basic_out(r, inv) for r, inv in i.basic_role_keys(phi)]
     seen: set[int] = set()
     frontier = sorted({x for x in i.individuals.values()})

@@ -13,6 +13,14 @@ tighter than '&', then '|', then right-associative '->'; a quantifier's
 body extends as far right as possible.  Degrees are decimals or 'p/q'
 fractions and print canonically as fractions ("0.5" prints as "1/2").
 A '?' test takes an atomic or parenthesized concept: write '(A & B) ?'.
+
+The parser reads one grammar in one pass, without backtracking.  In role
+position a parenthesised group is a concept exactly when the token after
+its closing parenthesis is '?', and a role otherwise; a concept starting
+with 'not', 'tri', 'all', 'some', a degree or '{' must be followed
+directly by '?'.  The grammar does not depend on the feature set:
+`parse_concept` and `parse_role` check the finished expression with
+`check_features`, the rule the evaluator applies.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import re
 from fractions import Fraction
 
 from .algebra import check_number_text
-from .errors import FeatureError, ParseError
+from .errors import ParseError
 from .fdl import (
     AndConcept,
     BaazConcept,
@@ -43,10 +51,12 @@ from .fdl import (
     TestRole,
     UnionRole,
     UniversalRole,
+    check_features,
 )
 
 _KEYWORDS = {"all", "some", "not", "tri", "U"}
-_CONCEPT_STARTERS = {"not", "tri", "all", "some"}
+# tokens that start a concept which, in role position, needs a '?' after it
+_CONCEPT_STARTERS = {"not", "tri", "all", "some", "number", "{"}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -59,8 +69,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
+    """The tokens of text, ending with an 'eof' token, and the index of the
+    matching ')' token for each '(' token that has one."""
     tokens = []
+    closing: dict[int, int] = {}
+    open_parens: list[int] = []
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
@@ -73,10 +87,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 kind = value  # keywords are their own token kind
             elif kind == "arrow" or kind == "sym":
                 kind = value
+            if kind == "(":
+                open_parens.append(len(tokens))
+            elif kind == ")" and open_parens:
+                closing[open_parens.pop()] = len(tokens)
             tokens.append((kind, value, pos))
         pos = match.end()
     tokens.append(("eof", "", len(text)))
-    return tokens
+    return tokens, closing
 
 
 # Deepest expression nesting the parser accepts.  The parser, the checks
@@ -101,25 +119,11 @@ def _nesting(method):
     return counted
 
 
-class _PendingConcept:
-    """A concept parsed in role position; must be completed by '?'."""
-
-    __slots__ = ("node", "pos")
-
-    def __init__(self, node: ConceptNode, pos: int):
-        self.node = node
-        self.pos = pos
-
-
 class _Parser:
-    def __init__(self, text: str, phi: FeatureSet):
-        self.tokens = _tokenize(text)
-        self.phi = phi
+    def __init__(self, text: str):
+        self.tokens, self.closing = _tokenize(text)
         self.i = 0
         self.depth = 0
-        # (token index, depth) -> (node or ParseError, token index after it)
-        # for the groups parsed in role position
-        self.groups: dict[tuple[int, int], tuple] = {}
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -137,11 +141,9 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {self.tokens[self.i][1] or 'end of input'!r}", self.pos())
         return self.advance()
 
-    def need(self, feature: str, construct: str) -> None:
-        # FeatureError, not ParseError: recognized-but-disabled constructs
-        # must not trigger backtracking in role position
-        if not getattr(self.phi, feature):
-            raise FeatureError(f"{construct} requires feature '{feature}'")
+    def end(self) -> None:
+        if self.peek() != "eof":
+            raise ParseError(f"trailing input {self.tokens[self.i][1]!r}", self.pos())
 
     # concepts ---------------------------------------------------------
 
@@ -195,7 +197,6 @@ class _Parser:
             self.advance()
             return ConceptName(value)
         if kind == "{":
-            self.need("nominal", "nominal '{a}'")
             self.advance()
             _, individual, _ = self.expect("name")
             self.expect("}")
@@ -210,129 +211,78 @@ class _Parser:
     # roles ------------------------------------------------------------
 
     def role(self) -> RoleNode:
-        node = self.role_union()
-        if isinstance(node, _PendingConcept):
-            raise ParseError("expected '?' after concept in role position", node.pos)
-        return node
-
-    def role_union(self):
         node = self.role_seq()
         while self.peek() == "|":
-            self.need("union", "role union '|'")
             self.advance()
-            right = self.role_seq()
-            node = UnionRole(self._done(node), self._done(right))
+            node = UnionRole(node, self.role_seq())
         return node
 
-    def role_seq(self):
+    def role_seq(self) -> RoleNode:
         node = self.role_post()
         while self.peek() == ";":
-            self.need("comp", "role composition ';'")
             self.advance()
-            right = self.role_post()
-            node = ComposeRole(self._done(node), self._done(right))
+            node = ComposeRole(node, self.role_post())
         return node
 
-    def _done(self, node) -> RoleNode:
-        if isinstance(node, _PendingConcept):
-            raise ParseError("expected '?' after concept in role position", node.pos)
-        return node
-
-    def role_post(self):
+    def role_post(self) -> RoleNode:
         node = self.role_atom()
         while True:
             kind = self.peek()
             if kind == "-":
-                self.need("inverse", "role inverse '-'")
                 self.advance()
-                node = InverseRole(self._done(node))
+                node = InverseRole(node)
             elif kind == "*":
-                self.need("star", "role closure '*'")
                 self.advance()
-                node = StarRole(self._done(node))
+                node = StarRole(node)
             elif kind == "?":
-                self.need("test", "role test '?'")
-                pos = self.pos()
+                if not isinstance(node, RoleName):
+                    raise ParseError("'?' applies to a concept, not a role", self.pos())
+                # a bare name before '?' was a concept name after all
                 self.advance()
-                if isinstance(node, _PendingConcept):
-                    node = TestRole(node.node)
-                elif isinstance(node, RoleName):
-                    # a bare name before '?' was a concept name after all
-                    node = TestRole(ConceptName(node.name))
-                else:
-                    raise ParseError("'?' applies to a concept, not a role", pos)
+                node = TestRole(ConceptName(node.name))
             else:
                 return node
 
     @_nesting
-    def role_atom(self):
+    def role_atom(self) -> RoleNode:
         kind, value, pos = self.tokens[self.i]
         if kind == "U":
-            self.need("universal", "universal role 'U'")
             self.advance()
             return UniversalRole()
         if kind == "name":
             self.advance()
             return RoleName(value)
         if kind == "(":
-            return self.role_group()
-        if kind in _CONCEPT_STARTERS or kind in ("number", "{"):
-            return _PendingConcept(self.concept_unary(), pos)
-        raise ParseError(f"expected a role, found {value or 'end of input'!r}", pos)
-
-    def role_group(self):
-        """A parenthesised group in role position: a role, or else a concept
-        for a later '?'.  When the role reading fails, the group is parsed
-        again as a concept, and so are the groups nested in it.  The outcome
-        of a group depends only on its start and the nesting depth, so it is
-        kept per (start, depth): each group is parsed at most once per depth,
-        and with depth capped at MAX_NESTING, nested groups take linear, not
-        exponential, time."""
-        key = (self.i, self.depth)
-        if key not in self.groups:
-            try:
-                outcome = self.role_or_concept_group()
-            except ParseError as exc:
-                outcome = exc
-            self.groups[key] = (outcome, self.i)
-        outcome, self.i = self.groups[key]
-        if isinstance(outcome, ParseError):
-            raise outcome.with_traceback(None)
-        return outcome
-
-    def role_or_concept_group(self):
-        saved = self.i
-        pos = self.pos()
+            close = self.closing.get(self.i)
+            if close is None or self.tokens[close + 1][0] != "?":
+                self.advance()
+                node = self.role()
+                self.expect(")")
+                return node
+            concept = self.concept_atom()  # the group before '?' is a concept
+        elif kind in _CONCEPT_STARTERS:
+            concept = self.concept_unary()
+            if self.peek() != "?":
+                raise ParseError("expected '?' after concept in role position", pos)
+        else:
+            raise ParseError(f"expected a role, found {value or 'end of input'!r}", pos)
         self.advance()
-        try:
-            node = self.role()
-            self.expect(")")
-            if self.peek() == "?":
-                # '(C | D) ?': the group parsed as a role ('|' is a role
-                # operator too) but a trailing '?' means it was a concept
-                raise ParseError("group before '?' is a concept", self.pos())
-            return node
-        except ParseError:
-            self.i = saved
-        self.advance()
-        concept = self.concept()
-        self.expect(")")
-        return _PendingConcept(concept, pos)
+        return TestRole(concept)
 
 
 def parse_concept(text: str, phi: FeatureSet) -> ConceptNode:
-    parser = _Parser(text, phi)
+    parser = _Parser(text)
     node = parser.concept()
-    if parser.peek() != "eof":
-        raise ParseError(f"trailing input {parser.tokens[parser.i][1]!r}", parser.pos())
+    parser.end()
+    check_features(node, phi)
     return node
 
 
 def parse_role(text: str, phi: FeatureSet) -> RoleNode:
-    parser = _Parser(text, phi)
+    parser = _Parser(text)
     node = parser.role()
-    if parser.peek() != "eof":
-        raise ParseError(f"trailing input {parser.tokens[parser.i][1]!r}", parser.pos())
+    parser.end()
+    check_features(node, phi)
     return node
 
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +40,7 @@ from fuzzmin import (
 )
 from fuzzmin.algebra import bundled_lattice_path, load_lattice
 from fuzzmin.fdl import ComposeRole, StarRole
+from fuzzmin.refine import _Refiner
 from fuzzmin.generate import (
     GeneratorParams,
     random_concept,
@@ -289,6 +291,33 @@ def test_criterion_7_complexity_smoke():
     ok = all(fitted / 2 <= r <= fitted * 2 for r in ratios)
     detail = ", ".join(f"{r / fitted:.2f}x" for r in ratios)
     report(7, ok, f"time per m*log(m) stays within 2x of the fitted trend ({detail})")
+
+
+def test_criterion_7_edge_scans_within_smaller_half_bound(monkeypatch):
+    # the host-independent form of criterion 7: when Y' splits off its Q-block
+    # every edge into Y' is scanned once, and Y' is at most half the block, so
+    # an edge is scanned at most log2(n) times over a whole run
+    scanned: Counter[int] = Counter()
+    split_q = _Refiner._split_q
+
+    def counting(self, qid, y_prime):
+        li = self.qlabel[qid]
+        incoming = self.incoming[li]
+        scanned[li] += sum(len(incoming[y]) for y in self.members[y_prime])
+        return split_q(self, qid, y_prime)
+
+    monkeypatch.setattr(_Refiner, "_split_q", counting)
+    ok, detail = True, []
+    for k, (n, m) in enumerate((2000 * 2 ** k, 10000 * 2 ** k) for k in range(5)):
+        g = _perf_graph(n, m, 8, k)
+        scanned.clear()
+        compcb(g)
+        for li, label in enumerate(g.edge_label_names):
+            m_label = sum(len(sources) for sources in g.incoming(label))
+            bound = m_label * math.floor(math.log2(n))
+            ok = ok and scanned[li] <= bound
+            detail.append(f"{scanned[li] / m_label:.2f} <= {bound // m_label}")
+    report(7, ok, f"edge scans per edge of a label stay within floor(log2 n) ({', '.join(detail)})")
 
 
 def test_criterion_8_algebra_axioms():

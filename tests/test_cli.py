@@ -371,3 +371,14 @@ def test_partition_accepts_one_pair_under_two_labels(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["partition", "--input", str(path)]) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1] == "{{u},{v},{w}}"
+
+
+def test_eval_concept_union_test_without_role_union(tmp_path, capsys):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({
+        "domain": ["a", "b"],
+        "concepts": {"A": {"a": "0.6"}, "B": {"a": "0.9", "b": "1"}},
+    }))
+    assert main(["eval", "--input", str(path), "--features", "baaz,test",
+                 "some ((A | B) ?) . A", "a"]) == 0
+    assert capsys.readouterr().out.strip() == "3/5"

@@ -557,11 +557,16 @@ def test_minimize_idempotent():
 
 # --- pruning ---------------------------------------------------------------------
 
+# pruning is defined only without the universal role
+PHI_PRUNE = FeatureSet.from_names(["baaz", "comp", "union", "star", "test"])
+PHI_PRUNE_I = FeatureSet.from_names(["baaz", "comp", "union", "star", "test", "inverse"])
+
+
 def test_prune_goldens():
     i = two_component_interp(GODEL)
-    kept = prune_unreachable(i, PHI_PSI)
+    kept = prune_unreachable(i, PHI_PRUNE)
     assert sorted(kept.names) == ["a", "b", "c", "d", "e"]
-    kept_inv = prune_unreachable(i, PHI_I)
+    kept_inv = prune_unreachable(i, PHI_PRUNE_I)
     assert sorted(kept_inv.names) == ["a", "b", "c", "d", "e"]
 
 
@@ -571,7 +576,7 @@ def test_prune_identity_when_all_named():
         individuals={"a": "x", "b": "y"},
         roles={"r": []},
     )
-    assert prune_unreachable(i, PHI_PSI).names == i.names
+    assert prune_unreachable(i, PHI_PRUNE).names == i.names
 
 
 def test_prune_requires_individuals():
@@ -580,11 +585,20 @@ def test_prune_requires_individuals():
         prune_unreachable(i, PHI_PSI)
 
 
+def test_prune_rejects_the_universal_role():
+    # pruning would drop c, and with it some U . A at a would fall from 1 to 0
+    i = Interpretation(GODEL, ["a", "c"], individuals={"o": "a"}, concepts={"A": {"c": "1"}})
+    phi = FeatureSet.from_names(["baaz", "universal"])
+    assert eval_concept(i, parse_concept("some U . A", phi), phi)[i.element_id("a")] == 1
+    with pytest.raises(UsageError, match="universal"):
+        prune_unreachable(i, phi)
+
+
 def test_prune_then_minimize_stays_bisimilar_to_original():
     i = two_component_interp(GODEL)
-    kept = prune_unreachable(i, PHI_PSI)
-    j = minimize(kept, PHI_PSI)
-    relation = largest_bisimulation(i, j, PHI_PSI)
+    kept = prune_unreachable(i, PHI_PRUNE)
+    j = minimize(kept, PHI_PRUNE)
+    relation = largest_bisimulation(i, j, PHI_PRUNE)
     for a in i.individual_names:
         assert (i.individuals[a], j.individuals[a]) in relation
 
@@ -761,6 +775,6 @@ def test_prune_from_ids_matches_name_built_prune():
     for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):
         for seed in range(12):
             i = random_interpretation(params, 50 * k + seed, alg)
-            for phi in (FULL_MINUS_UNIVERSAL, PHI_PSI):
+            for phi in (FULL_MINUS_UNIVERSAL, PHI_PRUNE):
                 kept = prune_unreachable(i, phi)
                 assert interpretation_to_json(kept) == interpretation_to_json(prune_by_names(i, phi))

@@ -1,6 +1,6 @@
-"""Parenthesised groups in role position: a group is read as a role first
-and as a concept for a later '?' when that fails, so nested groups must not
-be re-parsed once per enclosing level."""
+"""Parenthesised groups in role position: a group is a concept when '?'
+follows its closing parenthesis and a role otherwise, so nested groups are
+read once each and parse in linear time."""
 
 import time
 

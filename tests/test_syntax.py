@@ -25,6 +25,7 @@ from fuzzmin import (
     TestRole,
     UnionRole,
     UniversalRole,
+    check_features,
     parse_concept,
     parse_role,
     print_concept,
@@ -198,3 +199,40 @@ def test_print_parse_canonical_fixpoint():
         printed = print_concept(first)
         assert parse_concept(printed, FULL) == first
         assert print_concept(parse_concept(printed, FULL)) == printed
+
+
+def test_roundtrip_under_the_nodes_own_features():
+    # each node is printed and parsed under the feature set it was generated
+    # under, so a '?'-test of a concept '|' must parse with 'union' off
+    godel = GodelAlgebra()
+    rng = random.Random("syntax-roundtrip-phi")
+    optional = [name for name in FULL.names() if name != "baaz"]
+    concepts = ["A", "B", "C'"]
+    roles = ["r", "s"]
+    individuals = ["a", "b"]
+    for _ in range(400):
+        phi = FeatureSet.from_names(["baaz"] + [name for name in optional if rng.random() < 0.5])
+        node = random_concept(rng, phi, rng.randint(0, 6), concepts, roles, individuals, godel)
+        text = print_concept(node)
+        assert parse_concept(text, phi) == node, (text, phi.names())
+        node = random_role(rng, phi, rng.randint(0, 5), roles, concepts, individuals, godel)
+        text = print_role(node)
+        assert parse_role(text, phi) == node, (text, phi.names())
+
+
+def test_concept_union_inside_a_test_needs_no_role_union():
+    phi = FeatureSet.from_names(["baaz", "test"])
+    a_or_b = OrConcept(ConceptName("A"), ConceptName("B"))
+    assert parse_concept("some ((A | B) ?) . C", phi) == ExistsConcept(
+        TestRole(a_or_b), ConceptName("C")
+    )
+    assert parse_role("(A | B) ?", phi) == TestRole(a_or_b)
+    with pytest.raises(FeatureError):
+        parse_concept("some (r | s) . A", phi)
+
+
+def test_features_checked_on_chains_deeper_than_the_recursion_limit():
+    # the only disabled constructor is the deepest leaf of a left-deep chain
+    chain = parse_role("r- ; " + " ; ".join(["r"] * 3000), FULL)
+    with pytest.raises(FeatureError, match="inverse"):
+        check_features(chain, FeatureSet.from_names(["baaz", "comp"]))
