@@ -67,7 +67,6 @@ from .refine import (
     compcb,
     is_stable,
     naive_coarsest_stable_refinement,
-    split,
 )
 from .syntax import parse_concept, parse_role, print_concept, print_role
 

@@ -169,8 +169,9 @@ class UniversalRole(RoleNode):
 def check_features(node, phi: FeatureSet) -> None:
     """Raise FeatureError if the expression uses a constructor outside phi.
 
-    The walk keeps its own stack: the parser reads a chain of '&', '|' or
-    ';' in a loop, so a parsed tree can be deeper than the recursion limit."""
+    The walk keeps its own stack: the parser reads a chain of '&', '|',
+    '->' or ';', or a run of postfix operators, in a loop, so a parsed tree
+    can be deeper than the recursion limit."""
     stack = [node]
     while stack:
         node = stack.pop()
@@ -194,6 +195,21 @@ def check_features(node, phi: FeatureSet) -> None:
             sub = getattr(node, attr, None)
             if sub is not None:
                 stack.append(sub)
+
+
+def _chain_operands(node) -> list:
+    """The operands, left to right, of the chain of node's binary operator
+    that node heads, read in a loop since a parsed chain can be deeper than
+    the recursion limit: '&', '|' and ';' chains (concept or role) nest to
+    the left, '->' chains to the right."""
+    kind = type(node)
+    down, other = ("right", "left") if kind is ImpliesConcept else ("left", "right")
+    operands = []
+    while type(node) is kind:
+        operands.append(getattr(node, other))
+        node = getattr(node, down)
+    operands.append(node)
+    return operands if kind is ImpliesConcept else operands[::-1]
 
 
 # --- assertions and axioms --------------------------------------------------
@@ -465,6 +481,8 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
     """
     alg = i.algebra
     join, step = (max, alg.tnorm) if some else (min, alg.residuum)
+    while isinstance(role, InverseRole):
+        role, inverted = role.child, not inverted
     if isinstance(role, RoleName):
         out = [alg.bottom if some else alg.top] * i.n
         for (x, y), degree in i.role_instances(role.name).items():
@@ -472,8 +490,6 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
                 x, y = y, x
             out[x] = join(out[x], step(degree, v[y]))
         return out
-    if isinstance(role, InverseRole):
-        return _modal(i, role.child, v, tests, some, not inverted)
     if isinstance(role, UniversalRole):
         return [step(alg.top, join(v))] * i.n
     if isinstance(role, TestRole):
@@ -482,19 +498,30 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
             values = tests[id(role)] = _concept_values(i, role.concept, tests)
         return [step(c, d) for c, d in zip(values, v)]
     if isinstance(role, UnionRole):
-        left = _modal(i, role.left, v, tests, some, inverted)
-        right = _modal(i, role.right, v, tests, some, inverted)
-        return [join(a, b) for a, b in zip(left, right)]
+        first, *rest = _chain_operands(role)
+        out = _modal(i, first, v, tests, some, inverted)
+        for part in rest:
+            out = list(map(join, out, _modal(i, part, v, tests, some, inverted)))
+        return out
     if isinstance(role, ComposeRole):
-        first, second = (role.right, role.left) if inverted else (role.left, role.right)
-        return _modal(i, first, _modal(i, second, v, tests, some, inverted), tests, some, inverted)
+        # R ; S applies S first, and R first under an inverse
+        parts = _chain_operands(role)
+        for part in (parts if inverted else reversed(parts)):
+            v = _modal(i, part, v, tests, some, inverted)
+        return v
     if isinstance(role, StarRole):
+        # (R*)* = R* and (R-)* = (R*)-, so stars and inverses under a star drop out
+        child = role.child
+        while isinstance(child, (StarRole, InverseRole)):
+            if isinstance(child, InverseRole):
+                inverted = not inverted
+            child = child.child
         # the least (for all, greatest) w with w = join(v, R.w); degrees
         # never grow along a path, so paths of fewer than n steps suffice
         # and the iteration settles within n rounds
         w = v
         while True:
-            nxt = [join(a, b) for a, b in zip(v, _modal(i, role.child, w, tests, some, inverted))]
+            nxt = [join(a, b) for a, b in zip(v, _modal(i, child, w, tests, some, inverted))]
             if nxt == w:
                 return w
             w = nxt
@@ -523,15 +550,19 @@ def _concept_values(i: Interpretation, concept: ConceptNode,
         return [alg.baaz(v) for v in _concept_values(i, concept.child, tests)]
     if isinstance(concept, NotConcept):
         return [alg.neg(v) for v in _concept_values(i, concept.child, tests)]
-    if isinstance(concept, (AndConcept, OrConcept, ImpliesConcept)):
-        left = _concept_values(i, concept.left, tests)
-        right = _concept_values(i, concept.right, tests)
-        op = {
-            AndConcept: alg.tnorm,
-            OrConcept: alg.snorm,
-            ImpliesConcept: alg.residuum,
-        }[type(concept)]
-        return [op(left[x], right[x]) for x in range(n)]
+    if isinstance(concept, (AndConcept, OrConcept)):
+        op = alg.tnorm if isinstance(concept, AndConcept) else alg.snorm
+        first, *rest = _chain_operands(concept)
+        values = _concept_values(i, first, tests)
+        for part in rest:
+            values = list(map(op, values, _concept_values(i, part, tests)))
+        return values
+    if isinstance(concept, ImpliesConcept):
+        *lefts, last = _chain_operands(concept)
+        values = _concept_values(i, last, tests)
+        for part in reversed(lefts):
+            values = list(map(alg.residuum, _concept_values(i, part, tests), values))
+        return values
     if isinstance(concept, (ForallConcept, ExistsConcept)):
         child = _concept_values(i, concept.child, tests)
         return _modal(i, concept.role, child, tests, isinstance(concept, ExistsConcept))

@@ -51,7 +51,6 @@ class GeneratorParams:
     concept_count: int = 2
     role_count: int = 2
     individual_count: int = 1
-    clone_fraction: Fraction = Fraction(1, 4)  # elements duplicated to seed collapses
 
 
 def degree_pool(rng: random.Random, size: int, algebra: Algebra) -> list[Degree]:
@@ -119,15 +118,14 @@ def random_interpretation(params: GeneratorParams, seed: int, algebra: Algebra) 
         if pair not in roles[rname]:
             roles[rname][pair] = rng.choice(pool)
 
-    # clone a few elements (same labels, same outgoing edges) so quotients
-    # have something to collapse; sources are base elements, so their
+    # clone base_n // 4 elements (same labels, same outgoing edges) so
+    # quotients have something to collapse; sources are base elements, so their
     # out-edges are indexed once, in insertion order
     out_edges: dict[str, dict[str, list[tuple[str, Degree]]]] = {r: {} for r in role_names}
     for rname, table in roles.items():
         for (src, tgt), degree in table.items():
             out_edges[rname].setdefault(src, []).append((tgt, degree))
-    clones = int(base_n * params.clone_fraction)
-    for k in range(clones):
+    for k in range(base_n // 4):
         source = names[rng.randrange(base_n)]
         clone = f"x{base_n + k}"
         names.append(clone)

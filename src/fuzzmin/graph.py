@@ -35,8 +35,8 @@ class FuzzyGraph:
     once, per label and target, as (source, rank) lists with ranks into
     `levels` (`incoming`); the engine and `initial_partition` read them as
     they are.  Since the engine only compares degrees, ranks stand in for
-    them; degrees come back only in `edges`, `out_edges` and `sup_degree`,
-    which read the store on demand.
+    them; degrees come back only through `edges`, which reads the store on
+    demand.
 
     The constructor takes names and degree text and validates both, and
     rejects duplicate edges; it is the boundary for JSON documents and
@@ -147,13 +147,6 @@ class FuzzyGraph:
         except KeyError:
             raise UsageError(f"unknown vertex {name!r}") from None
 
-    def out_edges(self, v: int, label: str) -> Mapping[int, Degree]:
-        """Targets and degrees of v's outgoing `label` edges (absent = bottom),
-        in target order.  Filters `edges`, for tests and inspection."""
-        self._check_vertex(v)
-        self._check_label(label)
-        return {t: degree for s, lab, t, degree in self.edges if s == v and lab == label}
-
     def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-target incoming (source, rank) lists for one edge label, each
         in input order: the edge store itself, built by the constructor."""
@@ -167,16 +160,6 @@ class FuzzyGraph:
     def _check_label(self, label: str) -> None:
         if label not in self.edge_label_names:
             raise UsageError(f"unknown edge label {label!r}")
-
-    def sup_degree(self, v: int, label: str, targets: Iterable[int]) -> Degree:
-        """Largest degree among v's `label` edges into the target set (bottom
-        if none).  Scans the targets' incoming edges, for tests and inspection."""
-        targets = set(targets)
-        for t in targets:
-            self._check_vertex(t)
-        self._check_vertex(v)
-        incoming = self.incoming(label)
-        return self.levels[max((r for t in targets for s, r in incoming[t] if s == v), default=0)]
 
     def label_vector(self, v: int) -> tuple[Degree, ...]:
         """Dense label degrees of v, one per label table in sorted name order."""

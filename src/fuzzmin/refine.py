@@ -5,7 +5,6 @@ partition (the partition corresponding to the largest crisp
 auto-bisimulation), processing smaller halves first so the total work is
 O((m log l + n) log n).  The engine only compares degrees, so it works on
 the graph's degree ranks (`FuzzyGraph.levels`), not on the degrees.
-`split` is the underlying refinement primitive, exposed on its own, and
 `naive_coarsest_stable_refinement` is a direct fixpoint computation on
 the degrees, used as a differential oracle for the engine.
 
@@ -113,54 +112,6 @@ class TraceStep:
     changed: bool
     partition: tuple[frozenset[int], ...]
     splitter: tuple[frozenset[int], ...]
-
-
-def _as_union_of_blocks(p: Partition, verts: frozenset[int], what: str) -> None:
-    for v in verts:
-        if not 0 <= v < p.n:
-            raise UsageError(f"{what} contains unknown vertex id {v}")
-    covered = set()
-    for v in verts:
-        if v in covered:
-            continue
-        block = p.block_of(v)
-        if not block <= verts:
-            raise UsageError(f"{what} is not a union of partition blocks")
-        covered |= block
-
-
-def split(g: "FuzzyGraph", p: Partition, y_prime: Iterable[int], y: Iterable[int], label: str) -> Partition:
-    """Coarsest refinement of p whose blocks have constant sup of outgoing
-    `label` degrees into both y_prime and y - y_prime.
-
-    y must be a union of blocks of p, and y_prime a non-empty proper
-    subset of y that is itself a union of blocks.  Only edges into y are
-    scanned.
-    """
-    yp = frozenset(y_prime)
-    yfull = frozenset(y)
-    if not yp or not yp < yfull:
-        raise UsageError("need empty < y_prime < y (proper, non-empty)")
-    _as_union_of_blocks(p, yfull, "y")
-    _as_union_of_blocks(p, yp, "y_prime")
-    incoming = g.incoming(label)
-
-    # degree ranks stand in for degrees: 0 is bottom
-    sup_prime: dict[int, int] = {}
-    sup_rest: dict[int, int] = {}
-    for t in sorted(yfull):
-        acc = sup_prime if t in yp else sup_rest
-        for s, rank in incoming[t]:
-            if rank > acc.get(s, 0):
-                acc[s] = rank
-    new_blocks: list[list[int]] = []
-    for block in p.blocks:
-        groups: dict[tuple, list[int]] = {}
-        for v in sorted(block):
-            key = (sup_prime.get(v, 0), sup_rest.get(v, 0))
-            groups.setdefault(key, []).append(v)
-        new_blocks.extend(groups.values())
-    return Partition(new_blocks, p.n)
 
 
 class _Refiner:

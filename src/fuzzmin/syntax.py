@@ -51,6 +51,7 @@ from .fdl import (
     TestRole,
     UnionRole,
     UniversalRole,
+    _chain_operands,
     check_features,
 )
 
@@ -97,9 +98,10 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
     return tokens, closing
 
 
-# Deepest expression nesting the parser accepts.  The parser, the checks
-# and the evaluator all recurse once per level, so this bound keeps every
-# one of them inside the interpreter's recursion limit.
+# Deepest expression nesting the parser accepts.  The parser, the printer
+# and the evaluator recurse once per level, so this bound keeps each of
+# them inside the interpreter's recursion limit; chains of one binary
+# operator and runs of postfix operators are walked in a loop, uncounted.
 MAX_NESTING = 100
 
 
@@ -148,11 +150,14 @@ class _Parser:
     # concepts ---------------------------------------------------------
 
     def concept(self) -> ConceptNode:
-        left = self.concept_or()
-        if self.peek() == "->":
+        operands = [self.concept_or()]
+        while self.peek() == "->":
             self.advance()
-            return ImpliesConcept(left, self.concept())
-        return left
+            operands.append(self.concept_or())
+        node = operands.pop()
+        for left in reversed(operands):  # '->' nests to the right
+            node = ImpliesConcept(left, node)
+        return node
 
     def concept_or(self) -> ConceptNode:
         node = self.concept_and()
@@ -308,12 +313,13 @@ def _render_concept(node: ConceptNode) -> tuple[str, int]:
         return f"tri {_pc(node.child, _C_UNARY)}", _C_UNARY
     if isinstance(node, NotConcept):
         return f"not {_pc(node.child, _C_UNARY)}", _C_UNARY
-    if isinstance(node, AndConcept):
-        return f"{_pc(node.left, _C_AND)} & {_pc(node.right, _C_AND + 1)}", _C_AND
-    if isinstance(node, OrConcept):
-        return f"{_pc(node.left, _C_OR)} | {_pc(node.right, _C_OR + 1)}", _C_OR
+    if isinstance(node, (AndConcept, OrConcept)):
+        prec, symbol = (_C_AND, " & ") if isinstance(node, AndConcept) else (_C_OR, " | ")
+        first, *rest = _chain_operands(node)
+        return symbol.join([_pc(first, prec), *(_pc(part, prec + 1) for part in rest)]), prec
     if isinstance(node, ImpliesConcept):
-        return f"{_pc(node.left, _C_OR)} -> {_pc(node.right, _C_IMPLIES)}", _C_IMPLIES
+        *lefts, last = _chain_operands(node)
+        return " -> ".join([*(_pc(part, _C_OR) for part in lefts), _pc(last, _C_IMPLIES)]), _C_IMPLIES
     if isinstance(node, (ForallConcept, ExistsConcept)):
         keyword = "all" if isinstance(node, ForallConcept) else "some"
         body = _pc(node.child, _C_UNARY)
@@ -331,14 +337,16 @@ def _render_role(node: RoleNode) -> tuple[str, int]:
         return node.name, _R_ATOM
     if isinstance(node, UniversalRole):
         return "U", _R_ATOM
-    if isinstance(node, UnionRole):
-        return f"{_pr(node.left, _R_UNION)} | {_pr(node.right, _R_SEQ)}", _R_UNION
-    if isinstance(node, ComposeRole):
-        return f"{_pr(node.left, _R_SEQ)} ; {_pr(node.right, _R_POST)}", _R_SEQ
-    if isinstance(node, InverseRole):
-        return f"{_pr(node.child, _R_POST)}-", _R_POST
-    if isinstance(node, StarRole):
-        return f"{_pr(node.child, _R_POST)}*", _R_POST
+    if isinstance(node, (UnionRole, ComposeRole)):
+        prec, symbol = (_R_UNION, " | ") if isinstance(node, UnionRole) else (_R_SEQ, " ; ")
+        first, *rest = _chain_operands(node)
+        return symbol.join([_pr(first, prec), *(_pr(part, prec + 1) for part in rest)]), prec
+    if isinstance(node, (InverseRole, StarRole)):
+        suffix = []
+        while isinstance(node, (InverseRole, StarRole)):  # a run of postfix operators, in a loop
+            suffix.append("-" if isinstance(node, InverseRole) else "*")
+            node = node.child
+        return _pr(node, _R_POST) + "".join(reversed(suffix)), _R_POST
     if isinstance(node, TestRole):
         return f"({_pc(node.concept, _C_UNARY)} ?)", _R_ATOM
     raise ValueError(f"unknown role node {node!r}")

@@ -241,16 +241,17 @@ def initial_partition_by_out_maps(g) -> Partition:
 
 
 def is_stable_by_out_edges(g, p) -> bool:
-    """Stability checked vertex by vertex from `out_edges`, comparing the
+    """Stability checked vertex by vertex from `out_maps`, comparing the
     sup degree into every (label, block) pair within each block: the oracle
     for `is_stable`."""
     bottom = g.algebra.bottom
+    out = out_maps(g)
     for block in p.blocks:
         reference = None
         for v in sorted(block):
             mine: dict = {}
-            for label in g.edge_label_names:
-                for t, degree in g.out_edges(v, label).items():
+            for label, targets in out[v].items():
+                for t, degree in targets.items():
                     key = (label, p.block_index(t))
                     if degree > mine.get(key, bottom):
                         mine[key] = degree

@@ -382,3 +382,41 @@ def test_eval_concept_union_test_without_role_union(tmp_path, capsys):
     assert main(["eval", "--input", str(path), "--features", "baaz,test",
                  "some ((A | B) ?) . A", "a"]) == 0
     assert capsys.readouterr().out.strip() == "3/5"
+
+
+def _chain(op, term, count):
+    return f" {op} ".join([term] * count)
+
+
+# each chain is one operator repeated, read by the parser in a loop, so its
+# tree is far deeper than the recursion limit; values at a, by hand (Goedel):
+# A is 3/5 at a and 1 at b, r holds (a,b) at 4/5 and (b,a) at 1/2, s holds
+# (a,a) at 9/10
+DEEP_CHAINS = {
+    "and": ("baaz", _chain("&", "A", 3000), "3/5"),
+    "or": ("baaz", _chain("|", "A", 3000), "3/5"),
+    "implies": ("baaz", _chain("->", "A", 3000), "1"),
+    # 3,000 steps along r from a end back at a, through the 1/2 edge
+    "compose": ("baaz,comp", f"some ({_chain(';', 'r', 3000)}) . A", "1/2"),
+    "union": ("baaz,union", f"some ({_chain('|', 'r', 3000)}) . A", "4/5"),
+    # r first, so 2,999 steps end at b, where s has no edge; s first would give 1/2
+    "compose-order": ("baaz,comp", f"some ({_chain(';', 'r', 2999)} ; s) . A", "0"),
+    # (R ; S)- = S- ; R-: s- first, then 2,999 steps along r- end at b
+    "compose-inverse": ("baaz,comp,inverse", f"some ({_chain(';', 'r', 2999)} ; s)- . A", "1/2"),
+    "inverse": ("baaz,inverse", "some r" + "-" * 3001 + " . A", "1/2"),
+    # 1,500 inverses cancel, so this is all r* . A
+    "star-inverse": ("baaz,star,inverse", "all r" + "*-" * 1500 + " . A", "3/5"),
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP_CHAINS))
+def test_eval_answers_chains_deeper_than_the_recursion_limit(name, tmp_path, capsys):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({
+        "domain": ["a", "b"],
+        "concepts": {"A": {"a": "0.6", "b": "1"}},
+        "roles": {"r": [["a", "b", "0.8"], ["b", "a", "0.5"]], "s": [["a", "a", "0.9"]]},
+    }))
+    features, expr, expected = DEEP_CHAINS[name]
+    assert main(["eval", "--input", str(path), "--features", features, expr, "a"]) == 0
+    assert capsys.readouterr().out.strip() == expected

@@ -56,6 +56,7 @@ from helpers import (
     dense_role_matrix,
     graph_by_names,
     largest_bisimulation_by_fixpoint,
+    out_maps,
     prune_by_names,
     quotient_by_names,
     two_component_interp,
@@ -427,7 +428,7 @@ def test_encoding_inverse_doubles_edges():
     stats = g.stats()
     assert stats.m == 20
     b, a = g.vertex_id("b"), g.vertex_id("a")
-    assert g.sup_degree(b, "r-", {a}) == F("0.8")
+    assert out_maps(g)[b]["r-"][a] == F("0.8")
 
 
 def test_encoding_rejects_colliding_inverse_label():

@@ -27,45 +27,6 @@ from helpers import (
 GODEL = GodelAlgebra()
 
 
-def test_sup_degree_goldens():
-    g = collapse_graph(GODEL)
-    u, v, w = (g.vertex_id(x) for x in "uvw")
-    assert g.sup_degree(u, "r", {v, w}) == F("0.9")
-    assert g.sup_degree(v, "r", {v, w}) == F("0.8")
-    assert g.sup_degree(u, "r", set()) == F(0)
-
-
-def test_sup_degree_union_is_max_of_parts():
-    rng = random.Random(7)
-    names = [f"v{i}" for i in range(12)]
-    edges = []
-    seen = set()
-    for _ in range(40):
-        s, t = rng.randrange(12), rng.randrange(12)
-        if (s, t) in seen:
-            continue
-        seen.add((s, t))
-        edges.append((names[s], "e", names[t], F(rng.randint(1, 6), 6)))
-    g = FuzzyGraph(GODEL, names, {}, edges)
-    for _ in range(30):
-        x = rng.randrange(12)
-        left = {rng.randrange(12) for _ in range(4)}
-        right = {rng.randrange(12) for _ in range(4)}
-        assert g.sup_degree(x, "e", left | right) == max(
-            g.sup_degree(x, "e", left), g.sup_degree(x, "e", right)
-        )
-
-
-def test_sup_degree_errors():
-    g = collapse_graph(GODEL)
-    with pytest.raises(UsageError):
-        g.sup_degree(99, "r", {0})
-    with pytest.raises(UsageError):
-        g.sup_degree(0, "nope", {0})
-    with pytest.raises(UsageError):
-        g.sup_degree(0, "r", {77})
-
-
 def test_initial_partition_goldens():
     g = collapse_graph(GODEL)
     assert blocks_by_names(g.initial_partition(), g.names) == {
@@ -85,6 +46,11 @@ def test_initial_partition_goldens():
 
 def test_initial_partition_groups_have_equal_labels_and_sups():
     g = collapse_graph(GODEL)
+    out = out_maps(g)
+
+    def sup(v, label):
+        return max(out[v].get(label, {}).values(), default=g.algebra.bottom)
+
     p = g.initial_partition()
     for block in p.blocks:
         members = sorted(block)
@@ -92,9 +58,7 @@ def test_initial_partition_groups_have_equal_labels_and_sups():
         for v in members[1:]:
             assert g.label_vector(v) == g.label_vector(first)
             for label in g.edge_label_names:
-                assert g.sup_degree(v, label, range(g.n)) == g.sup_degree(
-                    first, label, range(g.n)
-                )
+                assert sup(v, label) == sup(first, label)
 
 
 def test_levels_and_ranked_incoming():
@@ -106,7 +70,7 @@ def test_levels_and_ranked_incoming():
     assert incoming[v] == ((u, 2), (v, 1), (w, 3))
     assert incoming[w] == ((u, 4), (v, 3))
     # degrees, not ranks, at the public boundary
-    assert g.out_edges(u, "r") == {v: F("0.7"), w: F("0.9")}
+    assert out_maps(g)[u]["r"] == {v: F("0.7"), w: F("0.9")}
     assert g.edges[0] == (u, "r", v, F("0.7"))
     assert FuzzyGraph(GODEL, ["x"]).levels == (F(0),)
 
@@ -176,7 +140,7 @@ def test_edges_ordered_by_label_then_target_then_input_order():
         (0, "r", 2, F("0.9")),
         (2, "s", 0, F("0.5")),
     )
-    assert list(g.out_edges(0, "r").items()) == [(1, F("0.4")), (2, F("0.9"))]
+    assert list(out_maps(g)[0]["r"].items()) == [(1, F("0.4")), (2, F("0.9"))]
 
 
 def test_stats_goldens():
@@ -222,9 +186,9 @@ def test_json_loading_keeps_decimals_exact(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     g = load_graph(str(path), GODEL)
-    assert g.label_vector(g.vertex_id("u")) == (F(4, 5),)
-    assert g.sup_degree(g.vertex_id("u"), "r", [g.vertex_id("v")]) == F(9, 10)
-    assert g.sup_degree(g.vertex_id("v"), "r", [g.vertex_id("v")]) == F(1, 3)
+    u, v = g.vertex_id("u"), g.vertex_id("v")
+    assert g.label_vector(u) == (F(4, 5),)
+    assert g.edges == ((u, "r", v, F(9, 10)), (v, "r", v, F(1, 3)))
 
 
 def test_graph_from_json_schema_errors():
@@ -247,28 +211,6 @@ def test_initial_partition_matches_the_out_map_oracle():
     assert any(g.vertex_label_names for g in graphs)
     for k, g in enumerate(graphs):
         assert g.initial_partition() == initial_partition_by_out_maps(g), f"case {k}"
-
-
-def test_out_edges_and_sup_degree_read_the_edge_list():
-    rng = random.Random(11)
-    for k, g in enumerate(oracle_graphs()):
-        out = out_maps(g)
-        for label in g.edge_label_names:
-            for v in range(g.n):
-                mine = out[v].get(label, {})
-                assert g.out_edges(v, label) == mine, f"case {k}"
-                targets = {t for t in range(g.n) if rng.random() < 0.5}
-                expected = max((d for t, d in mine.items() if t in targets), default=g.algebra.bottom)
-                assert g.sup_degree(v, label, targets) == expected, f"case {k}"
-
-
-def test_out_edges_errors():
-    g = collapse_graph(GODEL)
-    with pytest.raises(UsageError):
-        g.out_edges(3, "r")
-    with pytest.raises(UsageError):
-        g.out_edges(0, "nope")
-    assert list(g.out_edges(0, "r").items()) == [(1, F("0.7")), (2, F("0.9"))]  # target order
 
 
 def test_constructor_keeps_a_vertex_label_that_is_bottom_everywhere():

@@ -13,7 +13,6 @@ from fuzzmin import (
     interpretation_to_graph,
     is_stable,
     naive_coarsest_stable_refinement,
-    split,
 )
 from fuzzmin.generate import GeneratorParams, random_graph
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
@@ -32,10 +31,6 @@ GODEL = GodelAlgebra()
 def two_component_graph():
     """The 8-vertex encoding with forward and reversed edge labels."""
     return interpretation_to_graph(two_component_interp(GODEL), PHI_I)
-
-
-def named_partition(g, *block_names):
-    return Partition([{g.vertex_id(n) for n in block} for block in block_names], g.n)
 
 
 def names_of(g, p):
@@ -88,52 +83,6 @@ def test_aggregate_pair_matches_two_adds(first, second):
     assert not paired.remove(second)
     assert paired.max() == first
     assert paired.remove(first) and paired.max() is None
-
-
-# --- split ---------------------------------------------------------------------
-
-def test_split_golden_forward_label():
-    g = two_component_graph()
-    p = named_partition(g, {"a", "a2"}, {"b"}, {"c"}, {"b2", "b3", "d", "e"})
-    refined = split(g, p, {g.vertex_id("b")},
-                    {g.vertex_id(x) for x in ["b", "b2", "b3", "c", "d", "e"]}, "r")
-    assert names_of(g, refined) == {
-        frozenset({"a"}), frozenset({"a2"}), frozenset({"b"}),
-        frozenset({"b2", "b3", "d", "e"}), frozenset({"c"}),
-    }
-
-
-def test_split_golden_reversed_label():
-    g = two_component_graph()
-    p = named_partition(g, {"a"}, {"a2"}, {"b"}, {"b2", "b3", "d", "e"}, {"c"})
-    refined = split(g, p, {g.vertex_id("a2")}, set(range(g.n)), "r-")
-    assert names_of(g, refined) == {
-        frozenset({"a"}), frozenset({"a2"}), frozenset({"b"}),
-        frozenset({"b2", "b3"}), frozenset({"c"}), frozenset({"d", "e"}),
-    }
-
-
-def test_split_of_stable_partition_is_identity():
-    g = collapse_graph(GODEL)
-    p = compcb(g)
-    u = {g.vertex_id("u")}
-    refined = split(g, p, u, set(range(g.n)), "r")
-    assert refined == p
-
-
-def test_split_precondition_errors():
-    g = collapse_graph(GODEL)
-    p = g.initial_partition()
-    everything = set(range(g.n))
-    with pytest.raises(UsageError):
-        split(g, p, set(), everything, "r")
-    with pytest.raises(UsageError):
-        split(g, p, everything, everything, "r")  # not a proper subset
-    with pytest.raises(UsageError):
-        # y_prime cuts across the {v,w} block
-        split(g, p, {g.vertex_id("v")}, everything, "r")
-    with pytest.raises(UsageError):
-        split(g, p, {g.vertex_id("u")}, everything, "nope")
 
 
 # --- compcb ---------------------------------------------------------------------

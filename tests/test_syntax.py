@@ -1,5 +1,7 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -8,6 +10,7 @@ from fuzzmin import (
     BaazConcept,
     ComposeRole,
     ConceptName,
+    ConceptNode,
     ConstantConcept,
     ExistsConcept,
     FeatureError,
@@ -21,6 +24,7 @@ from fuzzmin import (
     OrConcept,
     ParseError,
     RoleName,
+    RoleNode,
     StarRole,
     TestRole,
     UnionRole,
@@ -236,3 +240,43 @@ def test_features_checked_on_chains_deeper_than_the_recursion_limit():
     chain = parse_role("r- ; " + " ; ".join(["r"] * 3000), FULL)
     with pytest.raises(FeatureError, match="inverse"):
         check_features(chain, FeatureSet.from_names(["baaz", "comp"]))
+
+
+def same_tree(a, b) -> bool:
+    """a == b for expression trees, compared on a stack of pairs: `==` on the
+    node dataclasses recurses once per level."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (ConceptNode, RoleNode)):
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+        elif x != y:
+            return False
+    return True
+
+
+NAMES = [ConceptName(f"A{k}") for k in range(3000)]
+ROLES = [RoleName(f"r{k}") for k in range(3000)]
+DEEP_TREES = {
+    "and": lambda: reduce(AndConcept, NAMES),
+    "or": lambda: reduce(OrConcept, NAMES),
+    "implies": lambda: reduce(lambda right, left: ImpliesConcept(left, right), reversed(NAMES)),
+    "compose": lambda: reduce(ComposeRole, ROLES),
+    "union": lambda: reduce(UnionRole, ROLES),
+    "postfix": lambda: reduce(lambda node, k: (InverseRole if k % 2 else StarRole)(node),
+                              range(3000), RoleName("r")),
+}
+
+
+@pytest.mark.parametrize("kind", list(DEEP_TREES))
+def test_print_parse_roundtrip_on_chains_deeper_than_the_recursion_limit(kind):
+    node = DEEP_TREES[kind]()
+    if isinstance(node, RoleNode):
+        text = print_role(node)
+        assert same_tree(parse_role(text, FULL), node)
+    else:
+        text = print_concept(node)
+        assert same_tree(parse_concept(text, FULL), node)
+    assert "(" not in text  # a chain prints flat
