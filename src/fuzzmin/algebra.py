@@ -54,18 +54,16 @@ def check_number_text(text: str) -> str:
     return text
 
 
-def read_json(path: str, exact: bool):
+def read_json(path: str):
     """Parse a JSON file, raising UsageError on malformed or oversized input.
 
-    With `exact`, bare decimals are read as exact Fractions (0.8 -> 4/5);
-    otherwise as floats, which degree checks reject.
+    Bare decimals are read as exact Fractions (0.8 -> 4/5).
     """
-    to_float = Fraction if exact else float
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(
                 f,
-                parse_float=lambda text: to_float(check_number_text(text)),
+                parse_float=lambda text: Fraction(check_number_text(text)),
                 parse_int=lambda text: int(check_number_text(text)),
             )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -437,7 +435,7 @@ def load_lattice(path: str) -> FiniteLatticeAlgebra:
     Schema: {"chain": N, "tnorm": [[..]], "snorm": [[..]], "residuum": [[..]],
     "neg": [..]} with indices 0..N-1, 0 = bottom, N-1 = top.
     """
-    doc = read_json(path, exact=False)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: lattice document must be a JSON object")
     missing = {"chain", "tnorm", "snorm", "residuum", "neg"} - doc.keys()

@@ -93,7 +93,7 @@ def cmd_minimize(args) -> int:
         start = time.perf_counter()
         g = interpretation_to_graph(interp, phi)
         p = compcb(g)
-        reduced = quotient(interp, p, g)
+        reduced = quotient(interp, p)
         elapsed_ms = (time.perf_counter() - start) * 1000
         _write_output(args, interpretation_json_pieces(reduced))
         stats = g.stats()
@@ -163,7 +163,7 @@ def cmd_check(args) -> int:
 def cmd_stats(args) -> int:
     algebra = make_algebra(args.algebra)
     phi = _features(args.features)
-    doc = read_json(args.input, exact=True)
+    doc = read_json(args.input)
     if isinstance(doc, dict) and "vertices" in doc:
         g = graph_from_json(doc, algebra)
     elif isinstance(doc, dict) and "domain" in doc:
@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
         interp = random_interpretation(interp_params, case_seed, algebra)
         enc = interpretation_to_graph(interp, phi)
         p = compcb(enc)
-        reduced = quotient(interp, p, enc)
+        reduced = quotient(interp, p)
         canonical = canonical_relation(interp, p, reduced)
         record(
             "canonical bisimulation",

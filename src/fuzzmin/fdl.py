@@ -369,7 +369,6 @@ class Interpretation:
             if name in by_name:
                 raise UsageError(f"name {name!r} used both as {by_name[name]} and {kind}")
             by_name[name] = kind
-        self._basic_out_cache: dict[tuple[str, bool], tuple] = {}
 
     def element_id(self, name: str) -> int:
         try:
@@ -397,28 +396,6 @@ class Interpretation:
         if rname not in self._roles:
             raise UsageError(f"unknown role name {rname!r}")
         return self._roles[rname]
-
-    def basic_out(self, rname: str, inverted: bool) -> tuple[tuple[tuple[int, Degree], ...], ...]:
-        """Per-element successor lists of a basic role (a role name or its
-        inverse): positive-degree edges only, cached."""
-        key = (rname, inverted)
-        cached = self._basic_out_cache.get(key)
-        if cached is None:
-            acc: list[list[tuple[int, Degree]]] = [[] for _ in range(self.n)]
-            for (x, y), degree in sorted(self.role_instances(rname).items()):
-                if inverted:
-                    acc[y].append((x, degree))
-                else:
-                    acc[x].append((y, degree))
-            cached = tuple(tuple(lst) for lst in acc)
-            self._basic_out_cache[key] = cached
-        return cached
-
-    def basic_role_keys(self, phi: FeatureSet) -> list[tuple[str, bool]]:
-        keys = [(r, False) for r in self.role_names]
-        if phi.inverse:
-            keys += [(r, True) for r in self.role_names]
-        return keys
 
 
 def _element_ids(names: tuple[str, ...]) -> dict[str, int]:
@@ -615,9 +592,12 @@ def is_bisimulation(
                 return fail(9, x, xp, f"{cname} differs: {d1} vs {d2}")
 
     zset = set(pairs)
-    for rname, inverted in i1.basic_role_keys(phi):
-        out1 = i1.basic_out(rname, inverted)
-        out2 = i2.basic_out(rname, inverted)
+    basic_roles = [(rname, False) for rname in i1.role_names]
+    if phi.inverse:  # every r, then every r-
+        basic_roles += [(rname, True) for rname in i1.role_names]
+    for rname, inverted in basic_roles:
+        out1 = _successors(i1, rname, inverted)
+        out2 = _successors(i2, rname, inverted)
         shown = rname + ("-" if inverted else "")
         for x, xp in pairs:
             for y, degree in out1[x]:
@@ -644,6 +624,18 @@ def is_bisimulation(
             return BisimReport(False, 15, (i2.names[xp],), "element unmatched on the right")
 
     return BisimReport(True)
+
+
+def _successors(i: Interpretation, rname: str, inverted: bool) -> list[list[tuple[int, Degree]]]:
+    """Per-element (successor, degree) lists of role rname, or of its inverse,
+    in the order of the sorted (x, y) pairs."""
+    out: list[list[tuple[int, Degree]]] = [[] for _ in range(i.n)]
+    for (x, y), degree in sorted(i._roles[rname].items()):
+        if inverted:
+            out[y].append((x, degree))
+        else:
+            out[x].append((y, degree))
+    return out
 
 
 def largest_bisimulation(
@@ -733,7 +725,7 @@ def block_name(members: Iterable[str]) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 
 
-def quotient(i: Interpretation, p: Partition, g: FuzzyGraph | None = None) -> Interpretation:
+def quotient(i: Interpretation, p: Partition) -> Interpretation:
     """Collapse each partition block to one element.
 
     Concept degrees come from an arbitrary block member and role degrees
@@ -741,7 +733,7 @@ def quotient(i: Interpretation, p: Partition, g: FuzzyGraph | None = None) -> In
     well defined when p is the stable partition computed for i's graph
     encoding.  Blocks are ordered, and named, as `p.to_names` renders them.
     """
-    if p.n != i.n or (g is not None and g.n != i.n):
+    if p.n != i.n:
         raise UsageError("partition does not cover the interpretation domain")
     names = i.names
     name_of = names.__getitem__
@@ -779,9 +771,7 @@ def quotient(i: Interpretation, p: Partition, g: FuzzyGraph | None = None) -> In
 
 def minimize(i: Interpretation, phi: FeatureSet) -> Interpretation:
     """Quotient by the partition of the largest auto-bisimulation."""
-    g = interpretation_to_graph(i, phi)
-    p = compcb(g)
-    return quotient(i, p, g)
+    return quotient(i, compcb(interpretation_to_graph(i, phi)))
 
 
 def canonical_relation(
@@ -806,19 +796,19 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         raise UsageError("pruning needs at least one named individual")
     if phi.universal:
         raise UsageError("pruning applies only when the universal role is disabled")
-    outs = [i.basic_out(r, inv) for r, inv in i.basic_role_keys(phi)]
-    seen: set[int] = set()
-    frontier = sorted({x for x in i.individuals.values()})
-    seen.update(frontier)
-    while frontier:
-        nxt: list[int] = []
-        for x in frontier:
-            for out in outs:
-                for y, _degree in out[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = sorted(nxt)
+    successors: list[list[int]] = [[] for _ in range(i.n)]
+    for table in i._roles.values():
+        for x, y in table:
+            successors[x].append(y)
+            if phi.inverse:
+                successors[y].append(x)
+    seen = set(i.individuals.values())
+    stack = list(seen)
+    while stack:
+        for y in successors[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
 
     keep = [x for x in range(i.n) if x in seen]
     new_id = {x: k for k, x in enumerate(keep)}
@@ -974,12 +964,12 @@ def _json_container(open_: str, close: str, items: list[str], depth: int) -> str
 
 
 def load_interpretation(path: str, algebra: Algebra) -> Interpretation:
-    return interpretation_from_json(read_json(path, exact=True), algebra)
+    return interpretation_from_json(read_json(path), algebra)
 
 
 def load_relation(path: str, i1: Interpretation, i2: Interpretation) -> set[tuple[int, int]]:
     """Load a relation as a JSON array of [left-name, right-name] pairs."""
-    doc = read_json(path, exact=False)
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise UsageError(f"{path}: relation document must be a JSON array of pairs")
     pairs: set[tuple[int, int]] = set()

@@ -224,4 +224,4 @@ def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:
 
 
 def load_graph(path: str, algebra: Algebra) -> FuzzyGraph:
-    return graph_from_json(read_json(path, exact=True), algebra)
+    return graph_from_json(read_json(path), algebra)

@@ -118,9 +118,8 @@ class _Refiner:
     """Working state of one refinement run (single-threaded, single graph),
     in the flat layout the module docstring describes."""
 
-    def __init__(self, g: "FuzzyGraph", debug: bool = False):
+    def __init__(self, g: "FuzzyGraph"):
         self.g = g
-        self.debug = debug
         self.labels = g.edge_label_names
         self.width = len(g.levels)
         blocks = g._initial_blocks()
@@ -204,8 +203,6 @@ class _Refiner:
                         self._vertices(q) for q, ql in enumerate(self.qlabel) if ql == li
                     ),
                 ))
-            if self.debug:
-                self._check_aggregates()
         return Partition(members, self.g.n)
 
     def _pop_compound(self) -> int | None:
@@ -302,27 +299,10 @@ class _Refiner:
                         queues[label_idx].append(q)
         return changed
 
-    def _check_aggregates(self) -> None:
-        """Debug invariant: every source's aggregate into a Q-block holds one
-        rank per edge into it, and its max is the rank of a fresh sup."""
-        for qid, aggs in enumerate(self.agg):
-            incoming = self.incoming[self.qlabel[qid]]
-            fresh: dict[int, int] = {}
-            edges = 0
-            for y in self._vertices(qid):
-                for x, rank in incoming[y]:
-                    edges += 1
-                    fresh[x] = max(rank, fresh.get(x, 0))
-            held = {x: agg if type(agg) is int else agg.max() for x, agg in aggs.items()}
-            assert held == fresh, f"q{qid} aggregates hold sup ranks {held}, expected {fresh}"
-            held_edges = sum(1 if type(agg) is int else len(agg) for agg in aggs.values())
-            assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
-
 
 def compcb(
     g: "FuzzyGraph",
     on_iteration: Callable[[TraceStep], None] | None = None,
-    debug: bool = False,
 ) -> Partition:
     """Coarsest stable refinement of g's initial partition.
 
@@ -331,7 +311,7 @@ def compcb(
     splits it by a contained block of at most half its size, and re-splits
     the partition against the two halves.
     """
-    return _Refiner(g, debug=debug).run(on_iteration)
+    return _Refiner(g).run(on_iteration)
 
 
 def naive_coarsest_stable_refinement(g: "FuzzyGraph") -> Partition:

@@ -1,9 +1,9 @@
 """Shared instance builders for the test suite, the name-based builders kept
 as oracles for the id-built graph encoding, quotient and pruning, the
 out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
-fixpoint kept as the oracle for `largest_bisimulation`, and the dense
-evaluator kept as the differential oracle for `eval_concept` and
-`eval_role`."""
+fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
+invariant checked after each `compcb` iteration, and the dense evaluator
+kept as the differential oracle for `eval_concept` and `eval_role`."""
 
 from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, Partition, UsageError
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
@@ -30,6 +30,7 @@ from fuzzmin.fdl import (
     block_name,
 )
 from fuzzmin.generate import GeneratorParams, random_graph
+from fuzzmin.refine import _Refiner
 
 # baseline feature configuration used by most golden tests
 PSI = ["baaz", "comp", "union", "star", "test", "universal"]
@@ -291,8 +292,19 @@ def largest_bisimulation_by_fixpoint(
                 continue
             keep.add((x, xp))
 
-    basics = i1.basic_role_keys(phi)
-    outs = [(i1.basic_out(r, inv), i2.basic_out(r, inv)) for r, inv in basics]
+    def successors(i, rname, inverted) -> list[list]:
+        out: list[list] = [[] for _ in range(i.n)]
+        for (x, y), d in i.role_instances(rname).items():
+            if inverted:
+                x, y = y, x
+            out[x].append((y, d))
+        return out
+
+    inversions = (False, True) if phi.inverse else (False,)
+    outs = [
+        (successors(i1, r, inv), successors(i2, r, inv))
+        for inv in inversions for r in i1.role_names
+    ]
     changed = True
     while changed:
         changed = False
@@ -319,6 +331,29 @@ def largest_bisimulation_by_fixpoint(
         if {x for x, _ in keep} != set(range(i1.n)) or {xp for _, xp in keep} != set(range(i2.n)):
             return set()
     return keep
+
+
+def check_aggregates(refiner: _Refiner) -> None:
+    """Invariant of a `compcb` run: every source's aggregate into a Q-block
+    holds one rank per edge into it, and its max is the rank of a fresh sup."""
+    for qid, aggs in enumerate(refiner.agg):
+        incoming = refiner.incoming[refiner.qlabel[qid]]
+        fresh: dict[int, int] = {}
+        edges = 0
+        for y in refiner._vertices(qid):
+            for x, rank in incoming[y]:
+                edges += 1
+                fresh[x] = max(rank, fresh.get(x, 0))
+        held = {x: agg if type(agg) is int else agg.max() for x, agg in aggs.items()}
+        assert held == fresh, f"q{qid} aggregates hold sup ranks {held}, expected {fresh}"
+        held_edges = sum(1 if type(agg) is int else len(agg) for agg in aggs.values())
+        assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
+
+
+def compcb_checked(g) -> Partition:
+    """`compcb(g)`, running `check_aggregates` after every iteration."""
+    refiner = _Refiner(g)
+    return refiner.run(on_iteration=lambda _step: check_aggregates(refiner))
 
 
 # --- dense oracle ------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_criterion_6_property_suite():
 
             g = interpretation_to_graph(i, phi)
             p = compcb(g)
-            j = quotient(i, p, g)
+            j = quotient(i, p)
             z = canonical_relation(i, p, j)
             if not (is_bisimulation(i, j, z, phi).ok
                     and is_bisimulation(i, j, z, phi.with_universal()).ok):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from fuzzmin import GodelAlgebra, Partition, compcb, interpretation_to_json
+from fuzzmin.algebra import bundled_lattice_path
 from fuzzmin.cli import main
 from fuzzmin.syntax import MAX_NESTING
 from helpers import PSI, chain_interp, collapse_interp, two_component_interp
@@ -185,6 +186,28 @@ def test_check_empty_relation_passes(pair_files, tmp_path, capsys):
     assert main(["check", "--input", left, "--other", right,
                  "--features", PSI_FLAG, str(relation)]) == 0
     assert capsys.readouterr().out.strip() == "pass"
+
+
+def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, chain_file, tmp_path, capsys):
+    # a bare decimal is read as an exact Fraction: neither a lattice table
+    # entry nor a relation entry may be one
+    with open(bundled_lattice_path("godel5"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["tnorm"][1][1] = 0.5
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(doc))
+    assert main(["minimize", "--input", chain_file, "--algebra", f"lattice:{lattice}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    left, right = pair_files
+    relation = tmp_path / "rel.json"
+    relation.write_text('[["u", "u\'"], ["v", 0.5]]')
+    assert main(["check", "--input", left, "--other", right, str(relation)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_stats_on_graph_and_interpretation(graph_file, big_file, capsys):

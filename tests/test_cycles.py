@@ -66,7 +66,7 @@ def test_minimize_stages_make_no_reference_cycles(algebra_name, tmp_path, collec
     i = cycle_free(prune_unreachable, i, PHI)
     g = cycle_free(interpretation_to_graph, i, PHI)
     p = cycle_free(compcb, g)
-    reduced = cycle_free(quotient, i, p, g)
+    reduced = cycle_free(quotient, i, p)
     cycle_free(write, reduced)
 
 

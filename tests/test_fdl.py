@@ -257,6 +257,55 @@ def test_forth_violation_detected():
     assert not report2.ok
 
 
+def test_forth_and_back_reports_name_the_successor():
+    # x's r-successors y and z both lack a match of degree 1 in i2; the
+    # report names y, first in (x, y) order, not in the order given
+    i1 = Interpretation(GODEL, ["x", "y", "z"], roles={"r": [("x", "z", "1"), ("x", "y", "1")]})
+    i2 = Interpretation(GODEL, ["x'", "y'"], roles={"r": [("x'", "y'", "0.5")]})
+    z = pair_ids(i1, i2, [("x", "x'"), ("y", "y'"), ("z", "y'")])
+    report = is_bisimulation(i1, i2, z, PHI_PSI)
+    assert (report.ok, report.condition, report.witness) == (False, 10, ("x", "x'"))
+    assert report.detail == "no matching r-successor for y"
+    assert str(report) == "condition (10) violated at (x,x')"
+
+    # mirrored, forth holds at (x', x) and back fails on the same successor
+    report = is_bisimulation(i2, i1, {(xp, x) for x, xp in z}, PHI_PSI)
+    assert (report.ok, report.condition, report.witness) == (False, 11, ("x'", "x"))
+    assert report.detail == "no matching r-successor for y"
+    assert str(report) == "condition (11) violated at (x',x)"
+
+
+def test_inverse_role_failure_reported_as_r_minus():
+    # r holds both ways; only the inverse r- fails, at b' whose
+    # r--successor c' lies outside the relation
+    i1 = Interpretation(GODEL, ["a", "b"], roles={"r": [("a", "b", "1")]})
+    i2 = Interpretation(GODEL, ["a'", "b'", "c'"], roles={"r": [("a'", "b'", "1"), ("c'", "b'", "0.5")]})
+    z = pair_ids(i1, i2, [("a", "a'"), ("b", "b'")])
+    inverse = FeatureSet.from_names(["baaz", "inverse"])  # no universal role: c' stays unmatched
+    assert is_bisimulation(i1, i2, z, FeatureSet()).ok
+    report = is_bisimulation(i1, i2, z, inverse)
+    assert (report.ok, report.condition, report.witness) == (False, 11, ("b", "b'"))
+    assert report.detail == "no matching r--successor for c'"
+
+    report = is_bisimulation(i2, i1, {(xp, x) for x, xp in z}, inverse)
+    assert (report.ok, report.condition, report.witness) == (False, 10, ("b'", "b"))
+    assert report.detail == "no matching r--successor for c'"
+
+
+def test_every_role_checked_before_any_inverse():
+    # r- fails and s fails forth; s is reported, since every r comes first
+    i1 = Interpretation(GODEL, ["a", "b"], roles={"r": [("a", "b", "1")], "s": [("a", "b", "1")]})
+    i2 = Interpretation(GODEL, ["a'", "b'", "c'"], roles={
+        "r": [("a'", "b'", "1"), ("c'", "b'", "0.5")],
+        "s": [("a'", "b'", "0.5")],
+    })
+    z = pair_ids(i1, i2, [("a", "a'"), ("b", "b'")])
+    for phi in (PHI_PSI, PHI_I):
+        report = is_bisimulation(i1, i2, z, phi)
+        assert (report.ok, report.condition, report.witness) == (False, 10, ("a", "a'"))
+        assert report.detail == "no matching s-successor for b"
+
+
 def test_totality_and_surjectivity_with_universal():
     base = FeatureSet.from_names(["baaz"])
     i1 = Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": "1", "y": "1"}}, roles={"r": []})
@@ -468,7 +517,7 @@ def test_quotient_golden_collapse():
     i = collapse_interp(GODEL)
     g = interpretation_to_graph(i, PHI_PSI)
     p = compcb(g)
-    j = quotient(i, p, g)
+    j = quotient(i, p)
     assert sorted(j.names) == ["{u}", "{v,w}"]
     assert j.individuals["a"] == j.element_id("{u}")
     assert role_map(j, "r") == {("{u}", "{v,w}"): F("0.9"), ("{v,w}", "{v,w}"): F("0.8")}
@@ -540,7 +589,7 @@ def test_canonical_relation_is_bisimulation():
     for phi in (PHI_PSI, PHI_O, PHI_I, PHI_IO):
         g = interpretation_to_graph(i, phi)
         p = compcb(g)
-        j = quotient(i, p, g)
+        j = quotient(i, p)
         z = canonical_relation(i, p, j)
         assert is_bisimulation(i, j, z, phi).ok
         assert is_bisimulation(i, j, z, phi.with_universal()).ok
@@ -713,7 +762,7 @@ def test_random_preservation_sweep():
             for phi in CONFIGS:
                 g = interpretation_to_graph(i, phi)
                 p = compcb(g)
-                j = quotient(i, p, g)
+                j = quotient(i, p)
                 z = canonical_relation(i, p, j)
                 assert is_bisimulation(i, j, z, phi).ok
                 assert minimize(j, phi).n == j.n
@@ -752,7 +801,7 @@ def test_quotient_from_ids_matches_name_built_quotient():
             for phi in (full, PHI_PSI):
                 g = interpretation_to_graph(i, phi)
                 p = compcb(g)
-                assert interpretation_to_json(quotient(i, p, g)) == interpretation_to_json(
+                assert interpretation_to_json(quotient(i, p)) == interpretation_to_json(
                     quotient_by_names(i, p)
                 )
             # any partition, stable or not: the first member in name order

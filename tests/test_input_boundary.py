@@ -101,7 +101,7 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=6,
 )
-# read_json(exact=True) gives Fractions for bare decimals
+# read_json gives Fractions for bare decimals
 DEGREES = st.one_of(DEGREE_TEXTS, SCALARS, st.fractions())
 
 

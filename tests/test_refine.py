@@ -20,6 +20,7 @@ from helpers import (
     PHI_I,
     blocks_by_names,
     collapse_graph,
+    compcb_checked,
     is_stable_by_out_edges,
     oracle_graphs,
     two_component_interp,
@@ -96,7 +97,7 @@ def test_compcb_collapse_graph_golden():
 
 def test_compcb_two_component_reversed_golden():
     g = two_component_graph()
-    p = compcb(g, debug=True)
+    p = compcb_checked(g)
     assert names_of(g, p) == {
         frozenset({"a"}), frozenset({"a2"}), frozenset({"b"}), frozenset({"c"}),
         frozenset({"b2", "b3"}), frozenset({"d"}), frozenset({"e"}),
@@ -188,7 +189,7 @@ def test_compcb_equals_oracle_on_random_graphs():
     params = GeneratorParams(n_min=1, n_max=20, edge_factor=5, pool_size=6,
                              vertex_labels=2, edge_labels=3)
     for k, g in _random_cases(60, params):
-        fast = compcb(g, debug=(k % 10 == 0))
+        fast = compcb_checked(g) if k % 10 == 0 else compcb(g)
         slow = naive_coarsest_stable_refinement(g)
         assert fast == slow, f"case {k}"
         assert is_stable(g, fast), f"case {k}"
@@ -210,7 +211,7 @@ def test_compcb_equals_oracle_with_many_distinct_degrees():
     for k in range(30):
         g = random_graph(params, 2000 + k, backends[k % len(backends)])
         most_levels = max(most_levels, g.stats().l)
-        fast = compcb(g, debug=(k % 4 == 0))
+        fast = compcb_checked(g) if k % 4 == 0 else compcb(g)
         assert fast == naive_coarsest_stable_refinement(g), f"case {k}"
         assert is_stable(g, fast), f"case {k}"
     assert most_levels >= 30
@@ -235,7 +236,7 @@ def test_order_preserving_relabelling_keeps_partition():
             [(g.names[s], label, g.names[t], d * d) for s, label, t, d in g.edges],
         )
         assert squared.levels == tuple(d * d for d in g.levels)
-        assert compcb(squared, debug=(k % 5 == 0)) == compcb(g), f"case {k}"
+        assert (compcb_checked(squared) if k % 5 == 0 else compcb(squared)) == compcb(g), f"case {k}"
 
 
 def test_iteration_count_bounded():

@@ -15,6 +15,7 @@ from fuzzmin import FeatureSet, Interpretation, compcb, interpretation_to_graph
 from fuzzmin.algebra import make_algebra
 from fuzzmin.generate import GeneratorParams
 from fuzzmin.refine import _Refiner
+from helpers import compcb_checked
 from test_refine import _random_cases, godel5_chain
 
 
@@ -131,6 +132,6 @@ def test_social_encoding_takes_both_y_prime_branches(monkeypatch):
 
 
 def test_social_encoding_debug_run():
-    # debug mode re-derives every aggregate from the edges after each step
+    # compcb_checked re-derives every aggregate from the edges after each step
     g = social_graph()
-    assert compcb(g, debug=True) == compcb(g)
+    assert compcb_checked(g) == compcb(g)
