@@ -12,7 +12,6 @@ from .algebra import (
     check_axioms,
     load_lattice,
     make_algebra,
-    supports_tbox_minimality,
 )
 from .errors import FeatureError, ParseError, UsageError
 from .fdl import (

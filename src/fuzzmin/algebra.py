@@ -8,9 +8,9 @@ lattices defined by explicit operation tables.
 
 Degrees are exact: `fractions.Fraction` values in [0, 1] for the
 unit-interval families, plain `int` chain indices (0 = bottom) for finite
-lattices.  Floats are rejected everywhere; decimal text such as "0.8" is
-parsed to the exact rational 4/5.  Exactness matters because downstream
-partition refinement groups vertices by degree equality.
+lattices.  Floats and booleans are rejected everywhere; decimal text such
+as "0.8" is parsed to the exact rational 4/5.  Exactness matters because
+downstream partition refinement groups vertices by degree equality.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ def degree_parser(algebra: Algebra) -> Callable[[object], Degree]:
     """`algebra.parse_degree` for one document, parsing each distinct degree
     text once: equal texts give one shared degree object.
 
-    Only `str` texts are memoised.  Other values (ints, Fractions, bools,
-    floats) go to `parse_degree` every time, since a memo keyed on values
-    would hand `1.0` the degree cached for the equal `1`.  A text that fails
-    to parse is not memoised, so it raises again at every occurrence.
+    Only `str` texts are memoised.  Other values (ints, Fractions, and the
+    floats and booleans `parse_degree` rejects) go to `parse_degree` every
+    time, since a memo keyed on values would hand `1.0` the degree cached
+    for the equal `1`.  A text that fails to parse is not memoised, so it
+    raises again at every occurrence.
     """
     parse = algebra.parse_degree
     memo: dict[str, Degree] = {}
@@ -96,9 +97,11 @@ def degree_parser(algebra: Algebra) -> Callable[[object], Degree]:
 
 
 def _reject_float(value) -> None:
-    if isinstance(value, float):
+    """Reject floats and booleans: neither is an exact degree, though Python
+    takes `True` for the int 1."""
+    if isinstance(value, (float, bool)):
         raise UsageError(
-            f"float degree {value!r} rejected: degrees must be exact "
+            f"{type(value).__name__} degree {value!r} rejected: degrees must be exact "
             "(use a string like \"0.8\" or \"4/5\", or an int)"
         )
 
@@ -141,13 +144,6 @@ class Algebra:
         Never table-driven, even for lattice backends.
         """
         return self.top if self.check(a) == self.top else self.bottom
-
-    def big_tnorm(self, values: Iterable[Degree]) -> Degree:
-        """Fold tnorm over a finite multiset; the empty fold is top."""
-        acc = self.top
-        for v in values:
-            acc = self.tnorm(acc, v)
-        return acc
 
     def parse_degree(self, text) -> Degree:
         """Parse a degree from JSON-level data (string, int, or Fraction)."""
@@ -406,27 +402,6 @@ def check_axioms(algebra: Algebra, triples: Iterable[tuple[Degree, Degree, Degre
         if (algebra.residuum(x, y) == top) != (x <= y):
             report("residuum-top", f"residuum({x},{y}) = top must hold exactly when {x} <= {y}")
     return violations
-
-
-def supports_tbox_minimality(algebra: Algebra) -> bool:
-    """True when residuum(top, x) = x for all x and snorm hits bottom only at (bottom, bottom).
-
-    These two properties are what quotient minimality with respect to
-    shared terminological axioms relies on.  Analytic for the built-in
-    families, exhaustive for finite lattices.
-    """
-    if not isinstance(algebra, FiniteLatticeAlgebra):
-        return True
-    chain = list(algebra.degrees())
-    top, bottom = algebra.top, algebra.bottom
-    for x in chain:
-        if algebra.residuum(top, x) != x:
-            return False
-    for y in chain:
-        for z in chain:
-            if (algebra.snorm(y, z) == bottom) != (y == bottom and z == bottom):
-                return False
-    return True
 
 
 def load_lattice(path: str) -> FiniteLatticeAlgebra:

@@ -51,10 +51,6 @@ class FeatureSet:
         chosen = set(names)
         return cls(**{name: name in chosen for name in FEATURE_NAMES if name != "baaz"})
 
-    @classmethod
-    def full(cls) -> "FeatureSet":
-        return cls.from_names(list(FEATURE_NAMES))
-
     def names(self) -> list[str]:
         enabled = ["baaz"]
         enabled += [n for n in FEATURE_NAMES if n != "baaz" and getattr(self, n)]
@@ -386,11 +382,6 @@ class Interpretation:
         if cname not in self._concepts:
             raise UsageError(f"unknown concept name {cname!r}")
         return self._concepts[cname].get(x, self.algebra.bottom)
-
-    def role_degree(self, rname: str, x: int, y: int) -> Degree:
-        if rname not in self._roles:
-            raise UsageError(f"unknown role name {rname!r}")
-        return self._roles[rname].get((x, y), self.algebra.bottom)
 
     def role_instances(self, rname: str) -> Mapping[tuple[int, int], Degree]:
         if rname not in self._roles:

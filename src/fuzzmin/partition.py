@@ -44,28 +44,13 @@ class Partition:
     def block_index(self, v: int) -> int:
         return self._index[v]
 
-    def block_of(self, v: int) -> frozenset[int]:
-        return self._blocks[self._index[v]]
-
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __iter__(self):
-        return iter(self._blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
         return self.n == other.n and set(self._blocks) == set(other._blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._blocks)))
-
-    def refines(self, other: "Partition") -> bool:
-        """True when every block here is contained in some block of `other`."""
-        if self.n != other.n:
-            return False
-        return all(block <= other.block_of(min(block)) for block in self._blocks)
 
     def to_names(self, names: Sequence[str]) -> list[list[str]]:
         """Render as name lists: members sorted, blocks ordered by first member."""

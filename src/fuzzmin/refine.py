@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 from .errors import UsageError
 from .partition import Partition
@@ -51,11 +51,9 @@ class DegreeAggregate:
 
     __slots__ = ("_counts", "_heap")
 
-    def __init__(self, degrees: Iterable = ()):
+    def __init__(self):
         self._counts: dict = {}
         self._heap: list = []
-        for d in degrees:
-            self.add(d)
 
     def add(self, degree) -> None:
         count = self._counts.get(degree, 0)
@@ -93,12 +91,6 @@ class DegreeAggregate:
                 return candidate
             heapq.heappop(self._heap)
         return None
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._counts)
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,18 @@ def test_criterion_7_complexity_smoke():
     report(7, ok, f"time per m*log(m) stays within 2x of the fitted trend ({detail})")
 
 
+def _path_graph(n: int) -> FuzzyGraph:
+    """One e-labelled path v0 -> ... -> v(n-1), every degree 1."""
+    names = [f"v{i}" for i in range(n)]
+    return FuzzyGraph(GODEL, names, {}, [(names[i], "e", names[i + 1], "1") for i in range(n - 1)])
+
+
 def test_criterion_7_edge_scans_within_smaller_half_bound(monkeypatch):
     # the host-independent form of criterion 7: when Y' splits off its Q-block
     # every edge into Y' is scanned once, and Y' is at most half the block, so
-    # an edge is scanned at most log2(n) times over a whole run
+    # an edge is scanned at most log2(n) times over a whole run.  A path splits
+    # one vertex off per step, so taking the larger block as Y' scans about
+    # n/2 edges per edge there
     scanned: Counter[int] = Counter()
     split_q = _Refiner._split_q
 
@@ -308,13 +316,16 @@ def test_criterion_7_edge_scans_within_smaller_half_bound(monkeypatch):
 
     monkeypatch.setattr(_Refiner, "_split_q", counting)
     ok, detail = True, []
-    for k, (n, m) in enumerate((2000 * 2 ** k, 10000 * 2 ** k) for k in range(5)):
-        g = _perf_graph(n, m, 8, k)
+    graphs = itertools.chain(
+        (_perf_graph(2000 * 2 ** k, 10000 * 2 ** k, 8, k) for k in range(5)),
+        (_path_graph(n) for n in (500, 1000, 2000, 4000)),
+    )
+    for g in graphs:
         scanned.clear()
         compcb(g)
         for li, label in enumerate(g.edge_label_names):
             m_label = sum(len(sources) for sources in g.incoming(label))
-            bound = m_label * math.floor(math.log2(n))
+            bound = m_label * math.floor(math.log2(g.n))
             ok = ok and scanned[li] <= bound
             detail.append(f"{scanned[li] / m_label:.2f} <= {bound // m_label}")
     report(7, ok, f"edge scans per edge of a label stay within floor(log2 n) ({', '.join(detail)})")

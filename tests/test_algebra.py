@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from fuzzmin import (
     check_axioms,
     load_lattice,
     make_algebra,
-    supports_tbox_minimality,
 )
 
 GODEL = GodelAlgebra()
@@ -106,18 +106,23 @@ def test_baaz_is_structural_not_table_driven():
     assert lat.baaz(0) == 0
 
 
+def big_tnorm(alg, values):
+    """Fold tnorm over a finite multiset; the empty fold is top."""
+    return reduce(alg.tnorm, values, alg.top)
+
+
 def test_big_tnorm():
-    assert GODEL.big_tnorm([]) == F(1)
-    assert GODEL.big_tnorm([F("0.8"), F("0.5"), F("0.9")]) == F("0.5")
-    assert PRODUCT.big_tnorm([F("0.5"), F("0.5")]) == F("0.25")
+    assert big_tnorm(GODEL, []) == F(1)
+    assert big_tnorm(GODEL, [F("0.8"), F("0.5"), F("0.9")]) == F("0.5")
+    assert big_tnorm(PRODUCT, [F("0.5"), F("0.5")]) == F("0.25")
 
 
 @given(st.lists(degrees, max_size=6))
 def test_big_tnorm_order_invariant(values):
     for alg in FAMILIES:
-        assert alg.big_tnorm(values) == alg.big_tnorm(list(reversed(values)))
+        assert big_tnorm(alg, values) == big_tnorm(alg, list(reversed(values)))
         if len(values) == 1:
-            assert alg.big_tnorm(values) == values[0]
+            assert big_tnorm(alg, values) == values[0]
 
 
 # --- derived properties -----------------------------------------------------
@@ -157,25 +162,10 @@ def test_noncommutative_tnorm_reported():
     assert any(v.startswith("commutativity") for v in violations)
 
 
-def test_supports_tbox_minimality():
-    for alg in FAMILIES:
-        assert supports_tbox_minimality(alg)
-    # constant-bottom snorm: snorm(top, top) = bottom breaks the premise
-    lat = FiniteLatticeAlgebra(
-        3,
-        [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-        [[2, 2, 2], [0, 2, 2], [0, 1, 2]],
-        [2, 0, 0],
-    )
-    assert not supports_tbox_minimality(lat)
-
-
 @pytest.mark.parametrize("name", ["boolean", "godel5", "lukasiewicz4"])
 def test_bundled_lattices_valid(name):
     alg = load_lattice(bundled_lattice_path(name))
     assert check_axioms(alg) == []
-    assert supports_tbox_minimality(alg)
 
 
 # --- parsing, validation, errors ---------------------------------------------
@@ -191,6 +181,19 @@ def test_float_rejected():
         GODEL.parse_degree(0.8)
     with pytest.raises(UsageError):
         GODEL.check(0.8)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_rejected(value):
+    # bool is an int subclass: True must not pass for the degree 1
+    lattice = boolean_lattice()
+    for alg in (GODEL, lattice):
+        with pytest.raises(UsageError, match="bool degree"):
+            alg.parse_degree(value)
+        with pytest.raises(UsageError, match="bool degree"):
+            alg.check(value)
+    with pytest.raises(UsageError, match="bool degree"):
+        FiniteLatticeAlgebra(2, [[0, 0], [0, value]], [[0, 1], [1, 1]], [[1, 1], [0, 1]], [1, 0])
 
 
 def test_out_of_range_rejected():

@@ -28,6 +28,14 @@ def chain_file(tmp_path):
 
 
 @pytest.fixture()
+def godel5_file(tmp_path):
+    """An interpretation whose degrees are godel5 chain indices."""
+    path = tmp_path / "godel5.json"
+    path.write_text(json.dumps({"domain": ["u", "v"], "concepts": {"A": {"u": "4", "v": "2"}}}))
+    return str(path)
+
+
+@pytest.fixture()
 def graph_file(tmp_path):
     doc = {
         "vertices": ["u", "v", "w"],
@@ -188,7 +196,7 @@ def test_check_empty_relation_passes(pair_files, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "pass"
 
 
-def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, chain_file, tmp_path, capsys):
+def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, godel5_file, tmp_path, capsys):
     # a bare decimal is read as an exact Fraction: neither a lattice table
     # entry nor a relation entry may be one
     with open(bundled_lattice_path("godel5"), encoding="utf-8") as f:
@@ -196,7 +204,7 @@ def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, chain_file, tmp
     doc["tnorm"][1][1] = 0.5
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps(doc))
-    assert main(["minimize", "--input", chain_file, "--algebra", f"lattice:{lattice}"]) == 2
+    assert main(["minimize", "--input", godel5_file, "--algebra", f"lattice:{lattice}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -205,6 +213,45 @@ def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, chain_file, tmp
     relation = tmp_path / "rel.json"
     relation.write_text('[["u", "u\'"], ["v", 0.5]]')
     assert main(["check", "--input", left, "--other", right, str(relation)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algebra", ["godel", "godel5"])
+@pytest.mark.parametrize("where", ["concept", "role", "edge"])
+def test_boolean_degree_exits_2(where, algebra, tmp_path, capsys):
+    # JSON true is not the degree 1: godel read it as 1, and under godel5
+    # minimize wrote "True", which its own reader then rejected
+    selector = algebra if algebra == "godel" else f"lattice:{bundled_lattice_path(algebra)}"
+    if where == "edge":
+        doc = {"vertices": ["u", "v"], "edges": [["u", "r", "v", True]]}
+        runs = [["partition"]]
+    else:
+        doc = {"domain": ["u", "v"], "concepts": {"A": {"v": "1"}}}
+        if where == "concept":
+            doc["concepts"]["A"]["u"] = True
+        else:
+            doc["roles"] = {"r": [["u", "v", True]]}
+        runs = [["minimize"], ["eval", "A", "u"]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for run in runs:
+        assert main([run[0], "--input", str(path), "--algebra", selector, *run[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_boolean_lattice_table_entry_exits_2(godel5_file, tmp_path, capsys):
+    # tnorm(1, 1) is 1 in godel5, so a table reading true as 1 passes its laws
+    with open(bundled_lattice_path("godel5"), encoding="utf-8") as f:
+        doc = json.load(f)
+    assert doc["tnorm"][1][1] == 1
+    doc["tnorm"][1][1] = True
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(doc))
+    assert main(["minimize", "--input", godel5_file, "--algebra", f"lattice:{lattice}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -34,6 +34,7 @@ from fuzzmin import (
 )
 from fuzzmin.partition import Partition
 from fuzzmin.fdl import (
+    FEATURE_NAMES,
     ComposeRole,
     ConstantConcept,
     ImpliesConcept,
@@ -110,7 +111,7 @@ ORACLE_ALGEBRAS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
 def test_evaluator_matches_dense_oracle(name):
     alg = ORACLE_ALGEBRAS[name]
-    full = FeatureSet.full()
+    full = FeatureSet.from_names(FEATURE_NAMES)
     params = GeneratorParams(n_min=2, n_max=8, edge_factor=3, pool_size=3)  # n <= 10 with clones
     rng = random.Random(f"dense-oracle:{name}")
     for seed in range(10):
@@ -160,7 +161,7 @@ def test_test_concept_evaluated_once_per_evaluation(monkeypatch):
     from fuzzmin import fdl
 
     i = chain_interp(GODEL)
-    full = FeatureSet.full()
+    full = FeatureSet.from_names(FEATURE_NAMES)
     node = parse_concept("some ((some r* . A)? ; r)* . A", full)
     inner = node.role.child.left.concept  # some r* . A
     calls = []
@@ -487,7 +488,7 @@ def test_encoding_rejects_colliding_inverse_label():
 
 
 def test_encoding_from_ids_matches_name_built_graph():
-    full = FeatureSet.full()
+    full = FeatureSet.from_names(FEATURE_NAMES)
     params = GeneratorParams(n_min=2, n_max=12, edge_factor=3, pool_size=5)
     for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):
         for seed in range(10):
@@ -792,7 +793,7 @@ def _random_partition(rng, n):
 
 
 def test_quotient_from_ids_matches_name_built_quotient():
-    full = FeatureSet.full()
+    full = FeatureSet.from_names(FEATURE_NAMES)
     params = GeneratorParams(n_min=2, n_max=14, edge_factor=3, pool_size=5, individual_count=2)
     rng = random.Random("quotient-by-names")
     for k, alg in enumerate([GODEL, PRODUCT, LUK, load_lattice(bundled_lattice_path("godel5"))]):

@@ -7,6 +7,7 @@ import pytest
 from fuzzmin import FeatureSet, GodelAlgebra, check_features, interpretation_to_json
 from fuzzmin.algebra import bundled_lattice_path, load_lattice
 from fuzzmin.errors import FeatureError
+from fuzzmin.fdl import FEATURE_NAMES
 from fuzzmin.generate import (
     GeneratorParams,
     degree_pool,
@@ -62,7 +63,7 @@ def test_generated_expressions_respect_features():
     bare = FeatureSet.from_names(["baaz"])
     tripped = False
     for _ in range(100):
-        node = random_role(rng, FeatureSet.full(), 4, ["r"], ["A"], ["a"], GODEL)
+        node = random_role(rng, FeatureSet.from_names(FEATURE_NAMES), 4, ["r"], ["A"], ["a"], GODEL)
         try:
             check_features(node, bare)
         except FeatureError:

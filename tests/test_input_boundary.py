@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fuzzmin import FeatureSet, FuzzyGraph, GodelAlgebra, Interpretation, UsageError
 from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, degree_parser, load_lattice
 from fuzzmin.cli import main
-from fuzzmin.fdl import interpretation_from_json, load_relation
+from fuzzmin.fdl import FEATURE_NAMES, interpretation_from_json, load_relation
 from fuzzmin.graph import graph_from_json
 from fuzzmin.syntax import parse_concept
 
@@ -76,8 +76,8 @@ def test_equal_texts_share_one_degree_object():
     assert i.concept_degree("A", 0) == F(1, 2)
     assert i.concept_degree("A", 0) is i.concept_degree("A", 1)
     assert i.concept_degree("A", 0) is i.concept_degree("B", 2)
-    assert i.role_degree("r", 0, 1) is i.concept_degree("A", 0)
-    assert i.role_degree("r", 1, 2) is i.concept_degree("A", 0)
+    assert i.role_instances("r")[(0, 1)] is i.concept_degree("A", 0)
+    assert i.role_instances("r")[(1, 2)] is i.concept_degree("A", 0)
     g = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "1/2"}, "v": {"A": "1/2"}},
                    [("u", "r", "v", "1/2")])
     assert g.label_vector(0)[0] is g.label_vector(1)[0] is g.levels[1]
@@ -193,7 +193,7 @@ EXPRESSIONS = st.one_of(
 @FUZZ
 @given(text=EXPRESSIONS, full=st.booleans())
 def test_fuzz_parse_concept(text, full):
-    phi = FeatureSet.full() if full else FeatureSet.from_names(["baaz"])
+    phi = FeatureSet.from_names(FEATURE_NAMES) if full else FeatureSet.from_names(["baaz"])
     _only_usage_errors(parse_concept, text, phi)
 
 

@@ -8,9 +8,10 @@ import pytest
 
 from fuzzmin import ConceptName, ExistsConcept, FeatureSet, TestRole
 from fuzzmin.errors import ParseError
+from fuzzmin.fdl import FEATURE_NAMES
 from fuzzmin.syntax import parse_concept, print_concept
 
-FULL = FeatureSet.full()
+FULL = FeatureSet.from_names(FEATURE_NAMES)
 
 
 def nested_tests(levels: int, inner: str = "A") -> str:

@@ -35,9 +35,10 @@ from fuzzmin import (
     print_concept,
     print_role,
 )
+from fuzzmin.fdl import FEATURE_NAMES
 from fuzzmin.generate import random_concept, random_role
 
-FULL = FeatureSet.full()
+FULL = FeatureSet.from_names(FEATURE_NAMES)
 BARE = FeatureSet.from_names(["baaz"])
 
 
