@@ -11,10 +11,16 @@ unit-interval families, plain `int` chain indices (0 = bottom) for finite
 lattices.  Floats and booleans are rejected everywhere; decimal text such
 as "0.8" is parsed to the exact rational 4/5.  Exactness matters because
 downstream partition refinement groups vertices by degree equality.
+
+Every degree enters through one rule per backend: `Algebra.check`, for
+file degrees (read by `Algebra.parse_degree`), expression constants and
+axiom or assertion bounds alike.  A lattice therefore takes an integral
+constant such as 2 (the parser's `Fraction(2)`) and rejects 1/2.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -109,18 +115,22 @@ def _reject_float(value) -> None:
 class Algebra:
     """Base class; concrete backends implement the binary operators.
 
+    One rule per job.  `check` validates a degree value and is the only
+    validation rule: it rejects floats, booleans and foreign values and
+    normalizes what it accepts.  `parse_degree` reads JSON data: text goes
+    through `check_number_text` and the backend's number rule (`number`),
+    then `check`; any other value goes straight to `check`.  Expression
+    constants and axiom or assertion bounds go to `check` as well.
+
     Instances are immutable and safe to share.  All operations are pure.
     """
 
     name = "abstract"
-
-    @property
-    def bottom(self) -> Degree:
-        raise NotImplementedError
-
-    @property
-    def top(self) -> Degree:
-        raise NotImplementedError
+    bottom: Degree
+    top: Degree
+    # the backend's number rule for text, and how a rejected text is described
+    number: Callable[[str], Degree]
+    number_rule: str
 
     def check(self, a: Degree) -> Degree:
         """Validate and normalize a degree, raising UsageError if foreign."""
@@ -145,28 +155,26 @@ class Algebra:
         """
         return self.top if self.check(a) == self.top else self.bottom
 
-    def parse_degree(self, text) -> Degree:
-        """Parse a degree from JSON-level data (string, int, or Fraction)."""
-        raise NotImplementedError
+    def parse_degree(self, value) -> Degree:
+        """Read a degree from JSON-level data (string, int, or Fraction)."""
+        if isinstance(value, str):
+            try:
+                value = self.number(check_number_text(value))
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"cannot parse degree {value!r}: {self.number_rule}") from None
+        return self.check(value)
 
     def format_degree(self, a: Degree) -> str:
         return str(self.check(a))
-
-    def degree_from_fraction(self, frac: Fraction) -> Degree:
-        """Interpret an expression-level rational constant as a degree."""
-        raise NotImplementedError
 
 
 class UnitIntervalAlgebra(Algebra):
     """Shared plumbing for the three families over exact rationals in [0,1]."""
 
-    @property
-    def bottom(self) -> Degree:
-        return ZERO
-
-    @property
-    def top(self) -> Degree:
-        return ONE
+    bottom = ZERO
+    top = ONE
+    number = Fraction
+    number_rule = "expected a decimal or a fraction such as 0.8 or 4/5"
 
     def check(self, a: Degree) -> Degree:
         if type(a) is Fraction and 0 <= a.numerator <= a.denominator:
@@ -175,23 +183,10 @@ class UnitIntervalAlgebra(Algebra):
         if isinstance(a, int):
             a = Fraction(a)
         if not isinstance(a, Fraction):
-            raise UsageError(f"degree {a!r} is not a rational; wrong algebra backend?")
+            raise UsageError(f"degree {a!r} is not a rational")
         if not (ZERO <= a <= ONE):
             raise UsageError(f"degree {a} outside [0, 1]")
         return a
-
-    def parse_degree(self, text) -> Degree:
-        _reject_float(text)
-        if isinstance(text, (int, Fraction)):
-            return self.check(text)
-        try:
-            value = Fraction(check_number_text(str(text)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"cannot parse degree {text!r}: {exc}") from None
-        return self.check(value)
-
-    def degree_from_fraction(self, frac: Fraction) -> Degree:
-        return self.check(frac)
 
 
 class GodelAlgebra(UnitIntervalAlgebra):
@@ -249,12 +244,16 @@ class LukasiewiczAlgebra(UnitIntervalAlgebra):
 class FiniteLatticeAlgebra(Algebra):
     """A finite chain 0 < 1 < ... < size-1 with table-driven operators.
 
-    The constructor validates table shape and value range only; use
-    `check_axioms` to test whether the tables actually satisfy the
-    algebra laws (load_lattice does this for you).
+    Degrees are chain indices: `check` takes an int, or an integral
+    Fraction such as an expression constant, in 0..size-1.  The
+    constructor validates table shape and value range only; to test the
+    algebra laws, pass every triple to `check_axioms`, as load_lattice
+    does: `check_axioms(lat, itertools.product(range(lat.size), repeat=3))`.
     """
 
     name = "lattice"
+    number = int
+    number_rule = "lattice degrees are chain indices"
 
     def __init__(
         self,
@@ -275,6 +274,8 @@ class FiniteLatticeAlgebra(Algebra):
             )
         self.size = size
         self.name = name
+        self.bottom = 0
+        self.top = size - 1
         self._tnorm = self._table2(tnorm_table, "tnorm")
         self._snorm = self._table2(snorm_table, "snorm")
         self._residuum = self._table2(residuum_table, "residuum")
@@ -299,24 +300,14 @@ class FiniteLatticeAlgebra(Algebra):
             raise UsageError(f"{label} table must be a list of {self.size} entries")
         return tuple(self._entry(v, label) for v in table)
 
-    @property
-    def bottom(self) -> Degree:
-        return 0
-
-    @property
-    def top(self) -> Degree:
-        return self.size - 1
-
     def check(self, a: Degree) -> Degree:
         if type(a) is int and 0 <= a < self.size:
             return a
         _reject_float(a)
-        if isinstance(a, Fraction):
-            if a.denominator != 1:
-                raise UsageError(f"degree {a} is not a chain index; wrong algebra backend?")
+        if isinstance(a, Fraction) and a.denominator == 1:
             a = int(a)
         if not isinstance(a, int) or not 0 <= a < self.size:
-            raise UsageError(f"degree {a!r} not a chain index in 0..{self.size - 1}")
+            raise UsageError(f"degree {a} is not a chain index in 0..{self.size - 1}")
         return a
 
     def tnorm(self, a, b):
@@ -331,49 +322,19 @@ class FiniteLatticeAlgebra(Algebra):
     def neg(self, a):
         return self._neg[self.check(a)]
 
-    def parse_degree(self, text) -> Degree:
-        _reject_float(text)
-        if isinstance(text, str):
-            try:
-                text = int(check_number_text(text))
-            except ValueError:
-                raise UsageError(
-                    f"cannot parse degree {text!r}: lattice degrees are chain indices"
-                ) from None
-        return self.check(text)
-
-    def degrees(self) -> range:
-        return range(self.size)
-
-    def degree_from_fraction(self, frac: Fraction) -> Degree:
-        if frac.denominator != 1:
-            raise UsageError(
-                f"constant {frac} is not a chain index; lattice algebras take integer constants"
-            )
-        return self.check(int(frac))
-
 
 def _is_list(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
-def check_axioms(algebra: Algebra, triples: Iterable[tuple[Degree, Degree, Degree]] | None = None) -> list[str]:
-    """Verify the algebra laws; returns human-readable violations (empty = valid).
+def check_axioms(algebra: Algebra, triples: Iterable[tuple[Degree, Degree, Degree]]) -> list[str]:
+    """Verify the algebra laws on the given triples of degrees; returns
+    human-readable violations (empty = valid).
 
     Checked laws: tnorm commutativity, associativity, identity with top,
     monotonicity of tnorm in each argument, antitonicity/monotonicity of
     the residuum, and residuum(a, b) = top exactly when a <= b.
-
-    With no `triples`, finite lattices are checked exhaustively and the
-    three analytic families pass vacuously.  Pass explicit triples to
-    spot-check a family on sampled degrees.
     """
-    if triples is None:
-        if not isinstance(algebra, FiniteLatticeAlgebra):
-            return []
-        chain = list(algebra.degrees())
-        triples = ((x, y, z) for x in chain for y in chain for z in chain)
-
     violations: list[str] = []
     seen: set[str] = set()
 
@@ -420,7 +381,7 @@ def load_lattice(path: str) -> FiniteLatticeAlgebra:
         doc["chain"], doc["tnorm"], doc["snorm"], doc["residuum"], doc["neg"],
         name=f"lattice:{path}",
     )
-    violations = check_axioms(algebra)
+    violations = check_axioms(algebra, itertools.product(range(algebra.size), repeat=3))
     if violations:
         raise UsageError(f"{path}: lattice violates algebra laws: " + "; ".join(violations))
     return algebra

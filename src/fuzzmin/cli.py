@@ -10,6 +10,7 @@ identical inputs and flags; timing lines go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -155,7 +156,7 @@ def cmd_check(args) -> int:
     relation = load_relation(args.relation, left, right)
     report = is_bisimulation(left, right, relation, phi)
     print(str(report))
-    if not report.ok and args.verbose:
+    if not report.ok:
         print(report.detail, file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -285,7 +286,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It names the command;
+    `main` looks up `cmd_<command>` at call time."""
     parser = argparse.ArgumentParser(
         prog="fuzzmin",
         description="Minimize fuzzy interpretations and weighted labeled graphs "
@@ -306,44 +310,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the minimized interpretation JSON here (default stdout)")
     p.add_argument("--prune", action="store_true",
                    help="first drop elements unreachable from named individuals")
-    p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("partition", help="print the coarsest stable partition of a fuzzy graph")
     common(p, features=False)
     p.add_argument("--output", help="write the partition JSON here")
     p.add_argument("--trace", action="store_true", help="print each refinement iteration")
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("eval", help="evaluate a concept expression at an element")
     common(p)
     p.add_argument("expr", help="concept expression, e.g. 'some (r* ; r) . A'")
     p.add_argument("at", help="element or individual name")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="check a relation against the bisimulation conditions")
     common(p)
     p.add_argument("--other", help="second interpretation JSON (default: same as --input)")
-    p.add_argument("--verbose", action="store_true", help="print violation details to stderr")
     p.add_argument("relation", help="JSON array of [left, right] name pairs")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="differential and property checks on random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="n/m/l statistics of a graph or interpretation")
     common(p)
-    p.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

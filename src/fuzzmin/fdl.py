@@ -407,12 +407,6 @@ def _check_signatures(i1: Interpretation, i2: Interpretation) -> None:
         raise UsageError("interpretations use different algebras")
 
 
-def _const_degree(algebra: Algebra, value) -> Degree:
-    if isinstance(value, Fraction):
-        return algebra.degree_from_fraction(value)
-    return algebra.check(value)
-
-
 # --- semantics ---------------------------------------------------------------
 
 def eval_role(i: Interpretation, role: RoleNode, phi: FeatureSet) -> list[list[Degree]]:
@@ -507,7 +501,7 @@ def _concept_values(i: Interpretation, concept: ConceptNode,
     alg = i.algebra
     n = i.n
     if isinstance(concept, ConstantConcept):
-        value = _const_degree(alg, concept.value)
+        value = alg.check(concept.value)
         return [value] * n
     if isinstance(concept, ConceptName):
         return [i.concept_degree(concept.name, x) for x in range(n)]
@@ -828,17 +822,17 @@ def satisfies(i: Interpretation, phi: FeatureSet, stmt) -> bool:
     alg = i.algebra
     if isinstance(stmt, TBoxAxiom):
         compare = _COMPARE[stmt.op]
-        bound = _const_degree(alg, stmt.degree)
+        bound = alg.check(stmt.degree)
         values = eval_concept(i, ImpliesConcept(stmt.left, stmt.right), phi)
         return all(compare(v, bound) for v in values)
     if isinstance(stmt, ConceptAssertion):
         compare = _COMPARE[stmt.op]
-        bound = _const_degree(alg, stmt.degree)
+        bound = alg.check(stmt.degree)
         x = i.individual_element(stmt.individual)
         return compare(eval_concept(i, stmt.concept, phi)[x], bound)
     if isinstance(stmt, RoleAssertion):
         compare = _COMPARE[stmt.op]
-        bound = _const_degree(alg, stmt.degree)
+        bound = alg.check(stmt.degree)
         x = i.individual_element(stmt.a)
         y = i.individual_element(stmt.b)
         check_features(stmt.role, phi)

@@ -28,7 +28,6 @@ from fuzzmin.fdl import (
     UnionRole,
     UniversalRole,
     _check_signatures,
-    _const_degree,
     block_name,
 )
 from fuzzmin.generate import GeneratorParams, random_graph
@@ -439,7 +438,7 @@ def dense_concept_values(i, concept) -> list:
     alg = i.algebra
     n = i.n
     if isinstance(concept, ConstantConcept):
-        return [_const_degree(alg, concept.value)] * n
+        return [alg.check(concept.value)] * n
     if isinstance(concept, ConceptName):
         return [i.concept_degree(concept.name, x) for x in range(n)]
     if isinstance(concept, Nominal):

@@ -162,6 +162,21 @@ def test_eval_goldens(chain_file, capsys):
     assert capsys.readouterr().out.strip() == "3/10"
 
 
+def test_eval_lattice_constant_must_be_a_chain_index(tmp_path, capsys):
+    # expression constants go through the algebra's one check: a lattice
+    # takes the integral constants 0..top only
+    path = tmp_path / "godel5.json"
+    path.write_text(json.dumps({"domain": ["u", "v"], "roles": {"r": [["u", "v", "3"]]}}))
+    selector = f"lattice:{bundled_lattice_path('godel5')}"
+    for expr in ("0.5", "some r . 7"):
+        assert main(["eval", "--input", str(path), "--algebra", selector, expr, "u"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main(["eval", "--input", str(path), "--algebra", selector, "some r . 4", "u"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
 def test_eval_unknown_element(chain_file, capsys):
     assert main(["eval", "--input", chain_file, "A", "zz"]) == 2
 
@@ -185,6 +200,22 @@ def test_check_pass_and_violation(pair_files, tmp_path, capsys):
                  "--features", PSI_FLAG, str(relation)])
     assert code == 1
     assert capsys.readouterr().out.strip() == "condition (9) violated at (u,v')"
+
+
+def test_check_writes_the_violation_detail_to_stderr(pair_files, tmp_path, capsys):
+    left, right = pair_files
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps([["u", "u'"], ["u", "v'"]]))
+    assert main(["check", "--input", left, "--other", right, str(relation)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "condition (9) violated at (u,v')\n"
+    assert captured.err == "A differs: 1 vs 1/2\n"
+
+    relation.write_text(json.dumps([["u", "u'"], ["v", "v'"], ["w", "v'"]]))
+    assert main(["check", "--input", left, "--other", right, str(relation)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "pass\n"
+    assert captured.err == ""
 
 
 def test_check_empty_relation_passes(pair_files, tmp_path, capsys):
@@ -218,21 +249,17 @@ def test_bare_decimal_in_lattice_or_relation_exits_2(pair_files, godel5_file, tm
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("algebra", ["godel", "godel5"])
-@pytest.mark.parametrize("where", ["concept", "role", "edge"])
-def test_boolean_degree_exits_2(where, algebra, tmp_path, capsys):
-    # JSON true is not the degree 1: godel read it as 1, and under godel5
-    # minimize wrote "True", which its own reader then rejected
+def _assert_degree_exits_2(degree, where, algebra, tmp_path, capsys):
     selector = algebra if algebra == "godel" else f"lattice:{bundled_lattice_path(algebra)}"
     if where == "edge":
-        doc = {"vertices": ["u", "v"], "edges": [["u", "r", "v", True]]}
+        doc = {"vertices": ["u", "v"], "edges": [["u", "r", "v", degree]]}
         runs = [["partition"]]
     else:
         doc = {"domain": ["u", "v"], "concepts": {"A": {"v": "1"}}}
         if where == "concept":
-            doc["concepts"]["A"]["u"] = True
+            doc["concepts"]["A"]["u"] = degree
         else:
-            doc["roles"] = {"r": [["u", "v", True]]}
+            doc["roles"] = {"r": [["u", "v", degree]]}
         runs = [["minimize"], ["eval", "A", "u"]]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -241,6 +268,23 @@ def test_boolean_degree_exits_2(where, algebra, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algebra", ["godel", "godel5"])
+@pytest.mark.parametrize("where", ["concept", "role", "edge"])
+def test_boolean_degree_exits_2(where, algebra, tmp_path, capsys):
+    # JSON true is not the degree 1: godel read it as 1, and under godel5
+    # minimize wrote "True", which its own reader then rejected
+    _assert_degree_exits_2(True, where, algebra, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("degree", [None, [1], {}], ids=["null", "list", "object"])
+@pytest.mark.parametrize("algebra", ["godel", "godel5"])
+@pytest.mark.parametrize("where", ["concept", "role", "edge"])
+def test_foreign_json_degree_exits_2(where, algebra, degree, tmp_path, capsys):
+    # a value that is neither text nor a number goes straight to the
+    # algebra's check, which rejects it
+    _assert_degree_exits_2(degree, where, algebra, tmp_path, capsys)
 
 
 def test_boolean_lattice_table_entry_exits_2(godel5_file, tmp_path, capsys):

@@ -701,6 +701,22 @@ def test_tbox_axiom_validates_comparison():
         TBoxAxiom(ConceptName("A"), ConceptName("A"), "<", F(1))
 
 
+def test_satisfies_reads_a_lattice_bound_as_a_chain_index():
+    # bounds go through the algebra's one check, as file degrees do
+    godel5 = load_lattice(bundled_lattice_path("godel5"))
+    i = Interpretation(godel5, ["x", "y"], individuals={"a": "x"}, concepts={"A": {"x": "2", "y": "3"}})
+    a = ConceptName("A")
+    for stmt in (TBoxAxiom(a, a, ">=", F(1, 2)), ConceptAssertion(a, "a", ">=", F(1, 2))):
+        with pytest.raises(UsageError, match="chain index"):
+            satisfies(i, PHI_PSI, stmt)
+    assert satisfies(i, PHI_PSI, ConceptAssertion(a, "a", ">=", F(2)))
+    assert not satisfies(i, PHI_PSI, ConceptAssertion(a, "a", ">", F(2)))
+    # min over the domain of residuum(3, A) is 2 under godel5's Goedel residuum
+    axiom = TBoxAxiom(ConstantConcept(F(3)), a, ">=", F(2))
+    assert satisfies(i, PHI_PSI, axiom)
+    assert not satisfies(i, PHI_PSI, TBoxAxiom(axiom.left, a, ">", F(2)))
+
+
 # --- JSON round-trips ----------------------------------------------------------------
 
 def test_interpretation_json_roundtrip(tmp_path):
