@@ -3,8 +3,9 @@
 An algebra bundles a linearly ordered set of degrees with the operators
 tnorm (strong conjunction), snorm (disjunction), residuum (implication),
 neg (negation) and the crisping projection `baaz`.  Three unit-interval
-families are built in (Godel, product, Lukasiewicz), plus finite linear
-lattices defined by explicit operation tables.
+families are built in (Godel, product, Lukasiewicz), whose negation is the
+residual `a -> 0`, plus finite linear lattices defined by explicit
+operation tables, a `neg` table included.
 
 Degrees are exact: `fractions.Fraction` values in [0, 1] for the
 unit-interval families, plain `int` chain indices (0 = bottom) for finite
@@ -188,6 +189,10 @@ class UnitIntervalAlgebra(Algebra):
             raise UsageError(f"degree {a} outside [0, 1]")
         return a
 
+    def neg(self, a: Degree) -> Degree:
+        """Residual negation a -> 0: 1 - a under Lukasiewicz, crisp otherwise."""
+        return self.residuum(a, ZERO)
+
 
 class GodelAlgebra(UnitIntervalAlgebra):
     name = "godel"
@@ -201,10 +206,6 @@ class GodelAlgebra(UnitIntervalAlgebra):
     def residuum(self, a, b):
         a, b = self.check(a), self.check(b)
         return ONE if a <= b else b
-
-    def neg(self, a):
-        # residual negation: a -> 0
-        return ONE if self.check(a) == ZERO else ZERO
 
 
 class ProductAlgebra(UnitIntervalAlgebra):
@@ -221,9 +222,6 @@ class ProductAlgebra(UnitIntervalAlgebra):
         a, b = self.check(a), self.check(b)
         return ONE if a <= b else b / a
 
-    def neg(self, a):
-        return ONE if self.check(a) == ZERO else ZERO
-
 
 class LukasiewiczAlgebra(UnitIntervalAlgebra):
     name = "lukasiewicz"
@@ -236,9 +234,6 @@ class LukasiewiczAlgebra(UnitIntervalAlgebra):
 
     def residuum(self, a, b):
         return min(ONE, ONE - self.check(a) + self.check(b))
-
-    def neg(self, a):
-        return ONE - self.check(a)
 
 
 class FiniteLatticeAlgebra(Algebra):

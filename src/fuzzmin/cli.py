@@ -47,6 +47,7 @@ from .generate import (
     random_tbox_axiom,
 )
 from .graph import FuzzyGraph, graph_from_json, load_graph
+from .partition import ordered_blocks
 from .refine import TraceStep, compcb, is_stable, naive_coarsest_stable_refinement
 from .syntax import parse_concept
 
@@ -66,8 +67,8 @@ def _render_blocks(member_lists: list[list[str]]) -> str:
 
 
 def _render_block_family(blocks, names) -> str:
-    # sorted as member lists, not as rendered text: "{a,b}" < "{a}" as text
-    return _render_blocks(sorted(sorted(names[v] for v in block) for block in blocks))
+    # ordered as member lists, not as rendered text: "{a,b}" < "{a}" as text
+    return _render_blocks([[names[v] for v in ids] for ids in ordered_blocks(blocks, names)])
 
 
 def _write_output(args, pieces: Iterable[str]) -> None:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
 from .graph import FuzzyGraph
-from .partition import Partition
+from .partition import Partition, ordered_blocks
 from .refine import compcb
 
 FEATURE_NAMES = ("baaz", "comp", "union", "star", "test", "inverse", "universal", "nominal")
@@ -37,8 +37,6 @@ class FeatureSet:
     inverse: bool = False
     universal: bool = False
     nominal: bool = False
-
-    baaz = True  # mandatory
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "FeatureSet":
@@ -162,6 +160,18 @@ class UniversalRole(RoleNode):
     pass
 
 
+# the feature each optional constructor needs, and how a refusal names it
+_GATES = {
+    Nominal: ("nominal", "nominal {a}"),
+    InverseRole: ("inverse", "role inverse '-'"),
+    ComposeRole: ("comp", "role composition ';'"),
+    UnionRole: ("union", "role union '|'"),
+    StarRole: ("star", "role closure '*'"),
+    TestRole: ("test", "role test '?'"),
+    UniversalRole: ("universal", "universal role 'U'"),
+}
+
+
 def check_features(node, phi: FeatureSet) -> None:
     """Raise FeatureError if the expression uses a constructor outside phi.
 
@@ -171,20 +181,9 @@ def check_features(node, phi: FeatureSet) -> None:
     stack = [node]
     while stack:
         node = stack.pop()
-        if isinstance(node, Nominal) and not phi.nominal:
-            raise FeatureError("nominal {a} requires feature 'nominal'")
-        if isinstance(node, InverseRole) and not phi.inverse:
-            raise FeatureError("role inverse '-' requires feature 'inverse'")
-        if isinstance(node, ComposeRole) and not phi.comp:
-            raise FeatureError("role composition ';' requires feature 'comp'")
-        if isinstance(node, UnionRole) and not phi.union:
-            raise FeatureError("role union '|' requires feature 'union'")
-        if isinstance(node, StarRole) and not phi.star:
-            raise FeatureError("role closure '*' requires feature 'star'")
-        if isinstance(node, TestRole) and not phi.test:
-            raise FeatureError("role test '?' requires feature 'test'")
-        if isinstance(node, UniversalRole) and not phi.universal:
-            raise FeatureError("universal role 'U' requires feature 'universal'")
+        gate = _GATES.get(type(node))
+        if gate is not None and not getattr(phi, gate[0]):
+            raise FeatureError(f"{gate[1]} requires feature '{gate[0]}'")
         # pushed last-first, so children are visited child, left, right,
         # role, concept: the order of a recursive pre-order walk
         for attr in ("concept", "role", "right", "left", "child"):
@@ -720,11 +719,8 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
     """
     if p.n != i.n:
         raise UsageError("partition does not cover the interpretation domain")
-    names = i.names
-    name_of = names.__getitem__
-    member_ids = sorted(
-        (sorted(block, key=name_of) for block in p.blocks), key=lambda ids: names[ids[0]]
-    )
+    name_of = i.names.__getitem__
+    member_ids = ordered_blocks(p.blocks, i.names)
     block_of = [0] * i.n
     for bi, ids in enumerate(member_ids):
         for x in ids:
@@ -764,10 +760,9 @@ def canonical_relation(
 ) -> set[tuple[int, int]]:
     """The pairs (element, its block) between an interpretation and its quotient."""
     rel: set[tuple[int, int]] = set()
-    for members in p.to_names(i.names):
-        target = reduced.element_id(block_name(members))
-        for name in members:
-            rel.add((i.element_id(name), target))
+    for ids in ordered_blocks(p.blocks, i.names):
+        target = reduced.element_id(block_name(map(i.names.__getitem__, ids)))
+        rel.update((x, target) for x in ids)
     return rel
 
 
@@ -818,30 +813,29 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
 # --- satisfaction ------------------------------------------------------------
 
 def satisfies(i: Interpretation, phi: FeatureSet, stmt) -> bool:
-    """Whether the interpretation validates an assertion or axiom."""
-    alg = i.algebra
-    if isinstance(stmt, TBoxAxiom):
-        compare = _COMPARE[stmt.op]
-        bound = alg.check(stmt.degree)
-        values = eval_concept(i, ImpliesConcept(stmt.left, stmt.right), phi)
-        return all(compare(v, bound) for v in values)
-    if isinstance(stmt, ConceptAssertion):
-        compare = _COMPARE[stmt.op]
-        bound = alg.check(stmt.degree)
-        x = i.individual_element(stmt.individual)
-        return compare(eval_concept(i, stmt.concept, phi)[x], bound)
-    if isinstance(stmt, RoleAssertion):
-        compare = _COMPARE[stmt.op]
-        bound = alg.check(stmt.degree)
-        x = i.individual_element(stmt.a)
-        y = i.individual_element(stmt.b)
-        check_features(stmt.role, phi)
-        return compare(_role_column(i, stmt.role, y, {})[x], bound)
+    """Whether the interpretation validates an assertion or axiom.
+
+    A bounded statement is checked in a fixed order: its bound, then its
+    individuals, then its features as it is evaluated.  An axiom's bound
+    holds at every element, an assertion's at its individuals."""
     if isinstance(stmt, SameAssertion):
         return i.individual_element(stmt.a) == i.individual_element(stmt.b)
     if isinstance(stmt, DistinctAssertion):
         return i.individual_element(stmt.a) != i.individual_element(stmt.b)
-    raise UsageError(f"unknown statement {stmt!r}")
+    if not isinstance(stmt, (TBoxAxiom, ConceptAssertion, RoleAssertion)):
+        raise UsageError(f"unknown statement {stmt!r}")
+    bound = i.algebra.check(stmt.degree)
+    if isinstance(stmt, TBoxAxiom):
+        values = eval_concept(i, ImpliesConcept(stmt.left, stmt.right), phi)
+    elif isinstance(stmt, ConceptAssertion):
+        x = i.individual_element(stmt.individual)
+        values = [eval_concept(i, stmt.concept, phi)[x]]
+    else:
+        x, y = i.individual_element(stmt.a), i.individual_element(stmt.b)
+        check_features(stmt.role, phi)
+        values = [_role_column(i, stmt.role, y, {})[x]]
+    compare = _COMPARE[stmt.op]
+    return all(compare(v, bound) for v in values)
 
 
 # --- JSON formats ------------------------------------------------------------

@@ -168,17 +168,8 @@ def random_role(
     options = ["name"]
     if phi.universal:
         options.append("universal")
-    if depth > 0:
-        if phi.inverse:
-            options.append("inverse")
-        if phi.comp:
-            options.append("comp")
-        if phi.union:
-            options.append("union")
-        if phi.star:
-            options.append("star")
-        if phi.test:
-            options.append("test")
+    if depth > 0:  # in this order, which fixes the seeded draws
+        options += [f for f in ("inverse", "comp", "union", "star", "test") if getattr(phi, f)]
     pick = rng.choice(options)
     if pick == "name":
         return RoleName(rng.choice(role_names))

@@ -150,20 +150,14 @@ class FuzzyGraph:
     def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-target incoming (source, rank) lists for one edge label, each
         in input order: the edge store itself, built by the constructor."""
-        self._check_label(label)
-        return self._in[label]
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise UsageError(f"unknown vertex id {v}")
-
-    def _check_label(self, label: str) -> None:
         if label not in self.edge_label_names:
             raise UsageError(f"unknown edge label {label!r}")
+        return self._in[label]
 
     def label_vector(self, v: int) -> tuple[Degree, ...]:
         """Dense label degrees of v, one per label table in sorted name order."""
-        self._check_vertex(v)
+        if not 0 <= v < self.n:
+            raise UsageError(f"unknown vertex id {v}")
         bottom = self.algebra.bottom
         return tuple(self._labels[name].get(v, bottom) for name in self.vertex_label_names)
 

@@ -1,4 +1,5 @@
-"""Partitions of a dense vertex id range, with a canonical block order."""
+"""Partitions of a dense vertex id range, with a canonical block order,
+and `ordered_blocks`, the one order by name in which blocks are rendered."""
 
 from __future__ import annotations
 
@@ -7,15 +8,23 @@ from typing import Iterable, Sequence
 from .errors import UsageError
 
 
+def ordered_blocks(blocks: Iterable[Iterable[int]], names: Sequence[str]) -> list[list[int]]:
+    """Each block's ids sorted by name, and the blocks ordered by their first
+    name: the order in which blocks are rendered and quotient elements are
+    numbered.  Blocks must be disjoint, so no two share a first name."""
+    name_of = names.__getitem__
+    return sorted((sorted(block, key=name_of) for block in blocks), key=lambda ids: names[ids[0]])
+
+
 class Partition:
     """Disjoint non-empty blocks covering the vertex ids 0..n-1.
 
     Blocks are stored canonically (sorted by minimum member) so equal
-    partitions compare and render identically regardless of how they
-    were produced.
+    partitions compare identically regardless of how they were produced;
+    `to_names` renders them in `ordered_blocks` order.
     """
 
-    __slots__ = ("n", "_blocks", "_index")
+    __slots__ = ("n", "blocks", "_index")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int):
         materialized = [frozenset(b) for b in blocks]
@@ -34,30 +43,24 @@ class Partition:
             missing = [v for v, bi in enumerate(index) if bi == -1]
             raise UsageError(f"partition does not cover vertices {missing[:5]}")
         self.n = n
-        self._blocks: tuple[frozenset[int], ...] = tuple(materialized)
+        self.blocks: tuple[frozenset[int], ...] = tuple(materialized)
         self._index: tuple[int, ...] = tuple(index)
-
-    @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        return self._blocks
 
     def block_index(self, v: int) -> int:
         return self._index[v]
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.n == other.n and set(self._blocks) == set(other._blocks)
+        return self.n == other.n and set(self.blocks) == set(other.blocks)
 
     def to_names(self, names: Sequence[str]) -> list[list[str]]:
-        """Render as name lists: members sorted, blocks ordered by first member."""
-        rendered = [sorted(names[v] for v in block) for block in self._blocks]
-        rendered.sort(key=lambda members: members[0])
-        return rendered
+        """Render as name lists, in `ordered_blocks` order."""
+        return [[names[v] for v in ids] for ids in ordered_blocks(self.blocks, names)]
 
     def __repr__(self) -> str:
-        inner = ",".join("{" + ",".join(str(v) for v in sorted(b)) + "}" for b in self._blocks)
+        inner = ",".join("{" + ",".join(str(v) for v in sorted(b)) + "}" for b in self.blocks)
         return "{" + inner + "}"

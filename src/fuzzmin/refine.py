@@ -95,7 +95,8 @@ class DegreeAggregate:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One main-loop iteration of the refinement engine, for --trace output."""
+    """One main-loop iteration of the refinement engine, for --trace output:
+    Y' and Y as the split used them, then P and the label's Q-blocks after it."""
 
     index: int
     label: str
@@ -177,18 +178,17 @@ class _Refiner:
             bids, head = qbids[qid], qhead[qid]
             first, second = bids[head], bids[head + 1]
             y_prime = first if len(members[first]) <= len(members[second]) else second
-            if on_iteration:
-                # Y' and Y as used by this split, before Y' itself may split
-                y_prime_before = frozenset(members[y_prime])
-                y_before = self._vertices(qid)
             changed = self._split_q(qid, y_prime)
             if on_iteration:
+                # splitting P leaves each Q-block's vertices as they were: Y'
+                # is the new Q-block of y_prime, Y that plus what qid keeps
                 li = self.qlabel[qid]
+                y_prime_vertices = self._vertices(self.qof[li][y_prime])
                 on_iteration(TraceStep(
                     index=step,
                     label=self.labels[li],
-                    y_prime=y_prime_before,
-                    y=y_before,
+                    y_prime=y_prime_vertices,
+                    y=y_prime_vertices | self._vertices(qid),
                     changed=changed,
                     partition=tuple(frozenset(verts) for verts in members),
                     splitter=tuple(
@@ -314,9 +314,10 @@ def naive_coarsest_stable_refinement(g: "FuzzyGraph") -> Partition:
     by that signature.  Independent of the engine's data structures.
     """
     part = g.initial_partition()
+    edges = g.edges  # rebuilt on every read
     while True:
         sups: list[dict[tuple[str, int], "Degree"]] = [{} for _ in range(g.n)]
-        for s, label, t, degree in g.edges:
+        for s, label, t, degree in edges:
             key = (label, part.block_index(t))
             if degree > sups[s].get(key, g.algebra.bottom):
                 sups[s][key] = degree

@@ -186,6 +186,13 @@ def test_eval_parse_error(chain_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_test_on_a_role(chain_file, capsys):
+    assert main(["eval", "--input", chain_file, "some r* ? . A", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'?' applies to a concept, not a role" in captured.err
+
+
 def test_check_pass_and_violation(pair_files, tmp_path, capsys):
     left, right = pair_files
     relation = tmp_path / "rel.json"
@@ -216,6 +223,21 @@ def test_check_writes_the_violation_detail_to_stderr(pair_files, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == "pass\n"
     assert captured.err == ""
+
+
+def test_check_reports_a_nominal_that_distinguishes_the_pair(tmp_path, capsys):
+    # u and v agree on every concept and role, but only u is the individual a
+    path = tmp_path / "nominal.json"
+    path.write_text(json.dumps({"domain": ["u", "v"], "individuals": {"a": "u"},
+                                "concepts": {"A": {"u": "1", "v": "1"}}}))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps([["u", "v"]]))
+    assert main(["check", "--input", str(path), str(relation)]) == 0
+    assert capsys.readouterr().out == "pass\n"
+    assert main(["check", "--input", str(path), "--features", "baaz,nominal", str(relation)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "condition (13) violated at (u,v)\n"
+    assert captured.err == "nominal a distinguishes the pair\n"
 
 
 def test_check_empty_relation_passes(pair_files, tmp_path, capsys):
@@ -306,6 +328,15 @@ def test_stats_on_graph_and_interpretation(graph_file, big_file, capsys):
     assert capsys.readouterr().out.strip() == "n=3 m=5 l=4"
     assert main(["stats", "--input", big_file, "--features", PSI_FLAG + ",inverse"]) == 0
     assert capsys.readouterr().out.strip() == "n=8 m=20 l=3"
+
+
+def test_stats_rejects_a_document_of_neither_kind(tmp_path, capsys):
+    path = tmp_path / "other.json"
+    path.write_text('{"foo": 1}')
+    assert main(["stats", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: neither a graph nor an interpretation document\n"
 
 
 def test_verify_small_run_passes(capsys):

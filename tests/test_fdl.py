@@ -432,6 +432,15 @@ def test_largest_bisimulation_signature_mismatch_rejected():
         largest_bisimulation(i1, other, PHI_PSI)
 
 
+@pytest.mark.parametrize("bisimulation", [
+    lambda i1, i2: is_bisimulation(i1, i2, set(), PHI_PSI),
+    lambda i1, i2: largest_bisimulation(i1, i2, PHI_PSI),
+], ids=["is_bisimulation", "largest_bisimulation"])
+def test_bisimulation_rejects_interpretations_over_different_algebras(bisimulation):
+    with pytest.raises(UsageError, match="interpretations use different algebras"):
+        bisimulation(chain_interp(GODEL), chain_interp(PRODUCT))
+
+
 def test_largest_bisimulation_rejects_a_role_named_like_an_inverse():
     # under inverse, r's reversed copy is labelled r-, so a role named r-
     # cannot be told apart from it; without inverse the names are fine
