@@ -123,6 +123,10 @@ class Algebra:
     then `check`; any other value goes straight to `check`.  Expression
     constants and axiom or assertion bounds go to `check` as well.
 
+    Bottom is the one falsy degree of every backend (`ZERO` or the int 0),
+    so a checked degree `d` is bottom exactly when `not d`; the
+    constructors test degrees that way.
+
     Instances are immutable and safe to share.  All operations are pure.
     """
 

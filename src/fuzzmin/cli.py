@@ -21,7 +21,6 @@ from .algebra import bundled_lattice_path, load_lattice, make_algebra, read_json
 from .errors import UsageError
 from .fdl import (
     FeatureSet,
-    Interpretation,
     block_name,
     canonical_relation,
     eval_concept,
@@ -46,7 +45,7 @@ from .generate import (
     random_interpretation,
     random_tbox_axiom,
 )
-from .graph import FuzzyGraph, graph_from_json, load_graph
+from .graph import graph_from_json, load_graph
 from .partition import ordered_blocks
 from .refine import TraceStep, compcb, is_stable, naive_coarsest_stable_refinement
 from .syntax import parse_concept

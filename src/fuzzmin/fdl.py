@@ -288,7 +288,6 @@ class Interpretation:
         self._id = _element_ids(names)
         element_id = self.element_id
         parse = degree_parser(algebra)
-        bottom = algebra.bottom
 
         individual_ids = {a: element_id(elem) for a, elem in (individuals or {}).items()}
 
@@ -298,7 +297,7 @@ class Interpretation:
             for elem, degree in assignment.items():
                 v = element_id(elem)  # every name, also one with a bottom degree
                 degree = parse(degree)
-                if degree != bottom:
+                if degree:  # bottom is falsy (see `Algebra`)
                     table[v] = degree
             concept_tables[cname] = table
 
@@ -310,7 +309,7 @@ class Interpretation:
                     raise UsageError(f"role instance {entry!r} must be [from, to, degree]")
                 src, tgt, degree = entry
                 degree = parse(degree)
-                if degree == bottom:
+                if not degree:
                     raise UsageError(
                         f"role instance {rname}({src},{tgt}) has degree 0; omit zero instances"
                     )

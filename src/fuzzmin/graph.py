@@ -62,7 +62,7 @@ class FuzzyGraph:
             for label, degree in assignment.items():
                 degree = parse(degree)
                 table = labels.setdefault(label, {})  # kept even if all bottom
-                if degree != algebra.bottom:
+                if degree:  # bottom is falsy (see `Algebra`)
                     table[v] = degree
 
         tables: dict[str, dict[tuple[int, int], Degree]] = {}
@@ -72,7 +72,7 @@ class FuzzyGraph:
             if (s, t) in table:
                 raise UsageError(f"duplicate edge ({sname},{label},{tname})")
             degree = parse(degree)
-            if degree == algebra.bottom:
+            if not degree:
                 raise UsageError(
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )

@@ -19,7 +19,12 @@ their ids count up from 0:
 - `agg[qid][x]` aggregates the ranks of source x's edges into Q-block qid,
   per its label: a bare int rank while one edge is counted, promoted to a
   `DegreeAggregate` when a second edge arrives.  Sources without such
-  edges have no entry.
+  edges, or alone in their block, have no entry; an entry made before its
+  source was left alone goes stale and is never read;
+- `alone[v]` is whether vertex v's block holds only v.  Such a block can
+  never split, so v's aggregates would never be read.  Blocks only split,
+  so the flag only turns on, and a vertex not alone now never was: every
+  edge move of a vertex whose aggregates are read has been recorded.
 `members` are dicts used as ordered sets and `qbids` are lists, so the
 walks over them, and with them the block ids and the trace, follow
 insertion order.  A Q-block loses only blocks at its front (its first or
@@ -118,9 +123,12 @@ class _Refiner:
         blocks = g._initial_blocks()
         self.members: list[dict[int, None]] = [dict.fromkeys(block) for block in blocks]
         self.blk: list[int] = [0] * g.n
+        self.alone: list[bool] = [False] * g.n
         for bid, block in enumerate(blocks):
             for v in block:
                 self.blk[v] = bid
+            if len(block) == 1:
+                self.alone[block[0]] = True
         self.incoming = [g.incoming(label) for label in self.labels]
         self.qof: list[list[int]] = []
         self.qbids: list[list[int]] = []
@@ -131,6 +139,7 @@ class _Refiner:
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
         pair = DegreeAggregate.pair
+        alone = self.alone
         for li, incoming in enumerate(self.incoming):
             qid = self._new_qblock(li, list(range(len(self.members))))
             self.qof.append([qid] * len(self.members))
@@ -138,6 +147,8 @@ class _Refiner:
             get = aggs.get
             for sources in incoming:
                 for x, rank in sources:
+                    if alone[x]:
+                        continue
                     # a bare int rank until a second edge of x arrives
                     held = get(x)
                     if held is None:
@@ -220,13 +231,17 @@ class _Refiner:
         self._enqueue_if_compound(qid)
 
         # move the ranks of edges into y_prime out of the old aggregates; the
-        # sources with an aggregate into y_prime are the affected ones
+        # sources with an aggregate into y_prime are the affected ones that
+        # can split
         incoming = self.incoming[li]
         old_aggs, new_aggs = self.agg[qid], self.agg[new_qid]
         get_new = new_aggs.get
         pair = DegreeAggregate.pair
+        alone = self.alone
         for y in self.members[y_prime]:
             for x, rank in incoming[y]:
+                if alone[x]:
+                    continue
                 old = old_aggs[x]
                 if type(old) is int or old.remove(rank):
                     del old_aggs[x]
@@ -237,6 +252,8 @@ class _Refiner:
                     new_aggs[x] = pair(held, rank)
                 else:
                     held.add(rank)
+        if not new_aggs:
+            return False
 
         # group affected sources per block by their (sup into y_prime, sup
         # into rest) pair, as the one int sup_prime * width + sup_rest
@@ -247,8 +264,6 @@ class _Refiner:
         blk, members = self.blk, self.members
         for x, new in new_aggs.items():
             bid = blk[x]
-            if len(members[bid]) == 1:
-                continue  # a one-vertex block cannot split
             rest = get_old(x, 0)
             if type(new) is not int:
                 new = new.max()
@@ -282,6 +297,8 @@ class _Refiner:
                 for v in moved:
                     del verts[v]
                     blk[v] = new_bid
+                if len(moved) == 1:
+                    alone[moved[0]] = True
                 for label_idx, qof_label in enumerate(self.qof):
                     q = qof_label[bid]
                     qof_label.append(q)
@@ -289,6 +306,8 @@ class _Refiner:
                     if not queued[q]:  # compound: it holds bid and new_bid
                         queued[q] = True
                         queues[label_idx].append(q)
+            if len(verts) == 1:
+                alone[next(iter(verts))] = True
         return changed
 
 

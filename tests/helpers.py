@@ -347,25 +347,33 @@ def aggregate_size(agg) -> int:
 
 
 def check_aggregates(refiner: _Refiner) -> None:
-    """Invariant of a `compcb` run: every source's aggregate into a Q-block
-    holds one rank per edge into it, and its max is the rank of a fresh sup."""
+    """Invariant of a `compcb` run, on the state the engine reads: every
+    source whose block has two or more vertices has an aggregate into a
+    Q-block that holds one rank per edge into it, whose max is the rank of
+    a fresh sup.  A source alone in its block never splits, so its
+    aggregates are never read and may be missing or stale."""
+    sizes = [len(refiner.members[bid]) for bid in refiner.blk]
     for qid, aggs in enumerate(refiner.agg):
         incoming = refiner.incoming[refiner.qlabel[qid]]
         fresh: dict[int, int] = {}
         edges = 0
         for y in refiner._vertices(qid):
             for x, rank in incoming[y]:
-                edges += 1
-                fresh[x] = max(rank, fresh.get(x, 0))
-        held = {x: agg if type(agg) is int else agg.max() for x, agg in aggs.items()}
+                if sizes[x] >= 2:
+                    edges += 1
+                    fresh[x] = max(rank, fresh.get(x, 0))
+        read = {x: agg for x, agg in aggs.items() if sizes[x] >= 2}
+        held = {x: agg if type(agg) is int else agg.max() for x, agg in read.items()}
         assert held == fresh, f"q{qid} aggregates hold sup ranks {held}, expected {fresh}"
-        held_edges = sum(1 if type(agg) is int else aggregate_size(agg) for agg in aggs.values())
+        held_edges = sum(1 if type(agg) is int else aggregate_size(agg) for agg in read.values())
         assert held_edges == edges, f"q{qid} aggregates hold {held_edges} of {edges} edges"
 
 
 def compcb_checked(g) -> Partition:
-    """`compcb(g)`, running `check_aggregates` after every iteration."""
+    """`compcb(g)`, running `check_aggregates` after set-up and after every
+    iteration."""
     refiner = _Refiner(g)
+    check_aggregates(refiner)
     return refiner.run(on_iteration=lambda _step: check_aggregates(refiner))
 
 

@@ -177,6 +177,21 @@ def test_parse_degree_decimal_and_fraction():
     assert GODEL.parse_degree(1) == F(1)
 
 
+@pytest.mark.parametrize("name", ["boolean", "godel5", "lukasiewicz4"])
+def test_lattice_bottom_is_the_falsy_degree(name):
+    # the constructors drop and reject bottom degrees by `not degree`
+    alg = load_lattice(bundled_lattice_path(name))
+    for d in map(alg.check, range(alg.size)):
+        assert bool(d) == (d != alg.bottom), d
+
+
+@pytest.mark.parametrize("alg", FAMILIES, ids=lambda alg: alg.name)
+def test_unit_interval_bottom_is_the_falsy_degree(alg):
+    samples = [0, 1, "0", "0.0", "0/7", "0.001", "1/8", "0.5", "7/8", "1", F(0), F(3, 4)]
+    for d in map(alg.parse_degree, samples):
+        assert bool(d) == (d != alg.bottom), d
+
+
 def test_float_rejected():
     with pytest.raises(UsageError):
         GODEL.parse_degree(0.8)

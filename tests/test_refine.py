@@ -16,10 +16,12 @@ from fuzzmin import (
 )
 from fuzzmin.generate import GeneratorParams, random_graph
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
+from fuzzmin.refine import _Refiner
 from helpers import (
     PHI_I,
     aggregate_size,
     blocks_by_names,
+    check_aggregates,
     collapse_graph,
     compcb_checked,
     is_stable_by_out_edges,
@@ -29,6 +31,7 @@ from helpers import (
 )
 
 GODEL = GodelAlgebra()
+FAMILY_BACKENDS = [GODEL, make_algebra("product"), make_algebra("lukasiewicz")]
 
 
 def two_component_graph():
@@ -243,6 +246,120 @@ def test_order_preserving_relabelling_keeps_partition():
         )
         assert squared.levels == tuple(d * d for d in g.levels)
         assert (compcb_checked(squared) if k % 5 == 0 else compcb(squared)) == compcb(g), f"case {k}"
+
+
+# --- one-vertex blocks ------------------------------------------------------------
+
+def test_check_aggregates_catches_a_corrupt_aggregate():
+    # b, c and d share a block, a is alone: the engine reads b's and c's
+    # aggregates, so corrupting either must fail the check, while an entry
+    # for a is never read and may be anything
+    g = FuzzyGraph(GODEL, ["a", "b", "c", "d"], {"a": {"A": "1"}}, [
+        ("b", "r", "a", "0.5"), ("b", "r", "c", "0.5"), ("c", "r", "a", "0.5"),
+        ("a", "r", "b", "1"),
+    ])
+    a, b, c = map(g.vertex_id, "abc")
+
+    def refiner():
+        fresh = _Refiner(g)
+        check_aggregates(fresh)
+        assert type(fresh.agg[0][b]) is DegreeAggregate and fresh.agg[0][c] == 1
+        assert a not in fresh.agg[0]
+        return fresh
+
+    corruptions = [
+        lambda aggs: aggs.__setitem__(c, 2),  # wrong sup
+        lambda aggs: aggs[b].add(1),  # one edge too many, same sup
+        lambda aggs: aggs.pop(c),  # missing
+    ]
+    for corrupt in corruptions:
+        broken = refiner()
+        corrupt(broken.agg[0])
+        with pytest.raises(AssertionError):
+            check_aggregates(broken)
+    ignored = refiner()
+    ignored.agg[0][a] = 2
+    check_aggregates(ignored)
+
+
+def test_one_vertex_blocks_build_no_aggregates(monkeypatch):
+    rng = random.Random(11)
+    n = 30
+    names = [f"v{i}" for i in range(n)]
+    edges = [(x, label, y, rng.choice(("1/4", "1/2", "1")))
+             for x in names for label in ("r", "s") for y in rng.sample(names, 3)]
+    pairs = 0
+    pair = DegreeAggregate.pair.__func__
+
+    def counting(cls, first, second):
+        nonlocal pairs
+        pairs += 1
+        return pair(cls, first, second)
+
+    monkeypatch.setattr(DegreeAggregate, "pair", classmethod(counting))
+    _Refiner(FuzzyGraph(GODEL, names, {}, edges))
+    assert pairs > 0  # one block: every source has three edges per label
+    pairs = 0
+
+    labels = {name: {"A": F(k + 1, n + 1)} for k, name in enumerate(names)}
+    g = FuzzyGraph(GODEL, names, labels, edges)
+    assert len(g.initial_partition()) == n
+    refiner = _Refiner(g)
+    steps = []
+    assert len(refiner.run(on_iteration=steps.append)) == n
+    assert all(not aggs for aggs in refiner.agg)
+    assert pairs == 0
+    # each label's Q-block still splits off one block per step, down to n
+    assert len(steps) == (n - 1) * 2
+    assert not any(step.changed for step in steps)
+
+
+def _singletons_and_twins(seed: int, alg) -> FuzzyGraph:
+    """Initial blocks of one or two vertices mostly, some of six, and edges
+    into two to four targets, so that groups of sources move together and
+    later split into one-vertex blocks as the run goes."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    names = [f"v{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    labels, level, k = {}, 0, 0
+    while k < n:
+        size = rng.choice((1, 1, 1, 2, 2, 6))
+        level += 1
+        for name in order[k:k + size]:
+            labels[name] = {"A": F(level, n + 1)}
+        k += size
+    targets = rng.sample(names, rng.randint(2, 4))
+    pool = rng.choice((("1",), ("1/2", "1")))
+    edges = [(x, label, y, rng.choice(pool))
+             for x in names for label in ("r", "s")
+             for y in rng.sample(targets, rng.randint(0, 2))]
+    return FuzzyGraph(alg, names, labels, edges)
+
+
+def test_compcb_equals_oracle_as_blocks_become_one_vertex(monkeypatch):
+    # a split leaves a one-vertex block by moving a group of one out, or by
+    # leaving one vertex behind; both must occur, and the engine's flag must
+    # name exactly the vertices alone in their block after every split
+    made = {"moved": 0, "left": 0}
+    split_q = _Refiner._split_q
+
+    def counting(self, qid, y_prime):
+        before, blocks = list(self.alone), len(self.members)
+        changed = split_q(self, qid, y_prime)
+        for v, (was, now) in enumerate(zip(before, self.alone)):
+            assert now == (len(self.members[self.blk[v]]) == 1)
+            if now and not was:
+                made["moved" if self.blk[v] >= blocks else "left"] += 1
+        return changed
+
+    monkeypatch.setattr(_Refiner, "_split_q", counting)
+    for k in range(40):
+        g = _singletons_and_twins(5000 + k, FAMILY_BACKENDS[k % 3])
+        fast = compcb_checked(g)
+        assert fast == naive_coarsest_stable_refinement(g), f"case {k}"
+        assert is_stable(g, fast), f"case {k}"
+    assert made["moved"] > 0 and made["left"] > 0, made
 
 
 def test_iteration_count_bounded():

@@ -4,15 +4,19 @@
 code: a change to the engine's data structures must leave every
 `TraceStep` as it was.  Each test renders the full trace of one input,
 one line per step, and compares its SHA-256 and step count with the
-ones recorded when the test was written.
+ones recorded when the test was written.  The bytes `minimize` writes
+for the social input are pinned the same way.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
-from fuzzmin import FeatureSet, Interpretation, compcb, interpretation_to_graph
+from fuzzmin import (FeatureSet, Interpretation, compcb, interpretation_to_graph,
+                     interpretation_to_json)
 from fuzzmin.algebra import make_algebra
+from fuzzmin.cli import main
 from fuzzmin.generate import GeneratorParams
 from fuzzmin.refine import _Refiner
 from helpers import compcb_checked
@@ -85,6 +89,7 @@ RANDOM_DIGEST = "7f141377e4e5170f9f123eed3834ba212c660c2b5741ab85ccee6aed6364512
 RANDOM_STEPS = 23917
 CHAIN_DIGEST = "b0cb1256264d1a5810018d81cb4641bb0002caa0b8ef1e2036652bf69d344328"
 CHAIN_STEPS = 255
+SOCIAL_OUTPUT_DIGEST = "f9c2c47d92de98ca9ee6e465e1adc596782e02c96f1e5c148ef49ca38985fb7e"
 
 
 def random_graphs():
@@ -98,6 +103,14 @@ def test_social_encoding_trace_is_pinned():
     assert g.n == 300
     assert len(g.initial_partition()) >= 100
     assert trace_digest(g) == (SOCIAL_DIGEST, SOCIAL_STEPS)
+
+
+def test_social_minimize_output_is_pinned(tmp_path):
+    path, out = tmp_path / "social.json", tmp_path / "minimized.json"
+    path.write_text(json.dumps(interpretation_to_json(social_interpretation(1))))
+    argv = ["minimize", "--input", str(path), "--features", "baaz,inverse", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SOCIAL_OUTPUT_DIGEST
 
 
 def test_random_graph_traces_are_pinned():
