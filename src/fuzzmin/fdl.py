@@ -11,6 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -432,8 +434,8 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
     the stored role instances alone.  A pending inverse is pushed down to
     the role names; tests and the universal role are their own inverses.
     `tests` keeps the values of each test's concept, by node identity, so
-    that a `*` around a test evaluates the test's concept once, not in
-    every round.
+    that a test is evaluated once per evaluation, also when `eval_role`
+    asks for every column.
 
     The `all` form of each step takes min and the residuum where `some`
     takes max and the t-norm: (sup a) => c = inf (a => c) and
@@ -453,10 +455,7 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
     if isinstance(role, UniversalRole):
         return [step(alg.top, join(v))] * i.n
     if isinstance(role, TestRole):
-        values = tests.get(id(role))
-        if values is None:
-            values = tests[id(role)] = _concept_values(i, role.concept, tests)
-        return [step(c, d) for c, d in zip(values, v)]
+        return [step(c, d) for c, d in zip(_test_values(i, role, tests), v)]
     if isinstance(role, UnionRole):
         first, *rest = _chain_operands(role)
         out = _modal(i, first, v, tests, some, inverted)
@@ -470,22 +469,181 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
             v = _modal(i, part, v, tests, some, inverted)
         return v
     if isinstance(role, StarRole):
-        # (R*)* = R* and (R-)* = (R*)-, so stars and inverses under a star drop out
-        child = role.child
-        while isinstance(child, (StarRole, InverseRole)):
-            if isinstance(child, InverseRole):
-                inverted = not inverted
-            child = child.child
-        # the least (for all, greatest) w with w = join(v, R.w); degrees
-        # never grow along a path, so paths of fewer than n steps suffice
-        # and the iteration settles within n rounds
-        w = v
-        while True:
-            nxt = [join(a, b) for a, b in zip(v, _modal(i, child, w, tests, some, inverted))]
-            if nxt == w:
-                return w
-            w = nxt
+        return _star(i, role, v, tests, some, inverted)
     raise UsageError(f"unknown role node {role!r}")
+
+
+def _test_values(i: Interpretation, test: TestRole, tests: dict[int, list[Degree]]) -> list[Degree]:
+    """The values of a test's concept, evaluated once and kept in `tests`."""
+    values = tests.get(id(test))
+    if values is None:
+        values = tests[id(test)] = _concept_values(i, test.concept, tests)
+    return values
+
+
+def _star(i: Interpretation, star: RoleNode, v: list[Degree], tests: dict[int, list[Degree]],
+          some: bool, inverted: bool) -> list[Degree]:
+    """some R*.v, or all R*.v when not `some`, by one search over the pairs
+    (element, state of R*'s automaton, see `_StarAutomaton`).
+
+    In state q at x, the value is the best over the words the automaton
+    accepts from q, and over the paths from x that spell them, of the path
+    degree combined with v at the path's end.  Along a path, `some` values
+    never grow (d * w <= w) and `all` values never fall (d => w >= w), so
+    the search settles the largest value first (for `all`, the smallest),
+    as in Knuth's generalization of Dijkstra's algorithm (Inf. Process.
+    Lett. 6(1), 1977), and each move into a pair is relaxed once, when the
+    pair settles.  This is exact because * distributes over sup and
+    (a * b) => c = a => (b => c).  Time O((m k + n k) log(n k)) for k
+    states."""
+    alg = i.algebra
+    n = i.n
+    step = alg.tnorm if some else alg.residuum
+    better = operator.gt if some else operator.lt
+    neutral = alg.bottom if some else alg.top  # the value no path improves
+    automaton = _StarAutomaton(i, star, inverted, tests)
+    into, accepting = automaton.into, automaton.accepting
+    value = [[neutral] * n for _ in accepting]
+    done = [bytearray(n) for _ in accepting]
+    reached = bytearray(len(accepting))  # states in which some pair has settled
+    # heap entries (key, state, element), best value first
+    heap = [(-d if some else d, q, x)
+            for q, end in enumerate(accepting) if end
+            for x, d in enumerate(v) if d != neutral]
+    for _, q, x in heap:
+        value[q][x] = v[x]
+    heapify(heap)
+    while heap:
+        _, q, y = heappop(heap)
+        if done[q][y]:
+            continue
+        done[q][y] = 1
+        w = value[q][y]
+        first = not reached[q]
+        reached[q] = 1
+        for c, sources in into[q]:
+            if sources is None:  # U: the best value settled in q reaches every element
+                moves = zip(range(n), repeat(alg.top)) if first else ()
+            elif sources is _EMPTY_MOVE:  # the same element, the same value
+                moves = ((y, None),)
+            else:
+                moves = sources.get(y, ())
+            value_c, done_c = value[c], done[c]
+            for x, degree in moves:
+                if not done_c[x]:
+                    cand = w if degree is None else step(degree, w)
+                    if better(cand, value_c[x]):
+                        value_c[x] = cand
+                        heappush(heap, (-cand if some else cand, c, x))
+    return value[0]
+
+
+_EMPTY_MOVE = object()  # the sources of a move that stays on its element
+
+
+class _StarAutomaton:
+    """An automaton of R*, read once, in the manner of Thompson (CACM
+    1968): `build(R, after)` makes a state whose words are R's words
+    followed by those of state `after`.  A pending inverse is pushed down
+    to the role names, and (R ; S)- is S- ; R-.  Each role name or
+    inverse, each test and each U is a move; a union or a star joins the
+    states of its parts (`absorb`), so the automaton has O(|R|) states and
+    moves, and `r*`, `(r-)*` and `(r | s-)*` have one state.
+
+    `into[q]` lists the moves into state q as pairs (state p, sources),
+    where `sources[y]` lists the (x, degree) with degree = S(x, y) > bottom
+    for the move's atom S, a test C? giving (y, C(y)); sources is None for
+    U and `_EMPTY_MOVE` for an empty move.  `accepting[q]` says whether a
+    word may end in q; state 0 is the start.  States are numbers, so the
+    automaton holds no reference cycle."""
+
+    def __init__(self, i: Interpretation, star: RoleNode, inverted: bool,
+                 tests: dict[int, list[Degree]]):
+        self.i, self.tests = i, tests
+        self.built: dict = {}  # sources per role name and direction, and per test node
+        self.ends: list[bool] = []  # per state built, whether a word may end in it
+        self.moves: list[list[tuple]] = []  # per state built, its (sources, next state)
+        self.referenced: set[int] = set()  # states that a move leads to
+        self.open: set[int] = set()  # stars' loop states while their child is built
+        states = [self.build(star, inverted, self.state(end=True))]
+        number = {states[0]: 0}
+        for state in states:  # grows while read: every state reachable from the start
+            for _, nxt in self.moves[state]:
+                if nxt not in number:
+                    number[nxt] = len(states)
+                    states.append(nxt)
+        self.into: list[list[tuple]] = [[] for _ in states]
+        for p, state in enumerate(states):
+            moves = {(id(sources), number[nxt]): sources for sources, nxt in self.moves[state]}
+            for (_, q), sources in moves.items():
+                self.into[q].append((p, sources))
+        self.accepting = [self.ends[state] for state in states]
+
+    def state(self, end: bool = False) -> int:
+        self.ends.append(end)
+        self.moves.append([])
+        return len(self.moves) - 1
+
+    def absorb(self, state: int, other: int) -> None:
+        """Let every word from `other` be a word from `state` as well: copy
+        other's content when no move leads to other, or when other is
+        complete and has one move at most; otherwise add an empty move to
+        other.  So no content is copied twice, and the automaton stays
+        linear in the size of the expression."""
+        if other in self.referenced and (other in self.open or len(self.moves[other]) > 1):
+            self.moves[state].append((_EMPTY_MOVE, other))
+            return
+        self.ends[state] = self.ends[state] or self.ends[other]
+        self.moves[state] += self.moves[other]
+
+    def build(self, role: RoleNode, inverted: bool, after: int) -> int:
+        looped = False
+        while isinstance(role, (StarRole, InverseRole)):  # (R*)* = R*, (R-)* = (R*)-
+            looped = looped or isinstance(role, StarRole)
+            inverted = inverted != isinstance(role, InverseRole)
+            role = role.child
+        if not looped and isinstance(role, ComposeRole):
+            parts = _chain_operands(role)
+            for part in (parts if inverted else reversed(parts)):  # the last read is built first
+                after = self.build(part, inverted, after)
+            return after
+        state = self.state()
+        if looped:
+            self.open.add(state)
+            body = self.build(role, inverted, state)
+            self.referenced.add(after)  # a union's parts share their `after`
+            self.absorb(state, after)
+            self.absorb(state, body)
+            self.open.remove(state)
+        elif isinstance(role, UnionRole):
+            for part in _chain_operands(role):
+                self.absorb(state, self.build(part, inverted, after))
+        else:
+            self.moves[state].append((self.sources(role, inverted), after))
+            self.referenced.add(after)
+        return state
+
+    def sources(self, role: RoleNode, inverted: bool) -> dict | None:
+        """The sources of an atom's move, built once per role name and
+        direction and once per test; None for U."""
+        if isinstance(role, UniversalRole):
+            return None
+        if isinstance(role, RoleName):
+            key = (role.name, inverted)
+            if key not in self.built:
+                self.built[key] = sources = {}
+                for (x, y), degree in self.i.role_instances(role.name).items():
+                    if inverted:
+                        x, y = y, x
+                    sources.setdefault(y, []).append((x, degree))
+        elif isinstance(role, TestRole):
+            key = id(role)
+            if key not in self.built:
+                values = _test_values(self.i, role, self.tests)
+                self.built[key] = {y: [(y, c)] for y, c in enumerate(values) if c}
+        else:
+            raise UsageError(f"unknown role node {role!r}")
+        return self.built[key]
 
 
 def eval_concept(i: Interpretation, concept: ConceptNode, phi: FeatureSet) -> list[Degree]:

@@ -3,9 +3,10 @@ as oracles for the id-built graph encoding, quotient and pruning, the
 out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
 fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
 invariant checked after each `compcb` iteration, the partition and
-aggregate reads only tests need (`refines`, `aggregate_size`), and the
-dense evaluator kept as the differential oracle for `eval_concept` and
-`eval_role`."""
+aggregate reads only tests need (`refines`, `aggregate_size`), the dense
+evaluator kept as the differential oracle for `eval_concept` and
+`eval_role`, and the Kleene iteration that closed `R*` before the
+evaluator's one search per star, kept as that search's oracle."""
 
 from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, Partition, UsageError
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
@@ -443,6 +444,22 @@ def dense_role_matrix(i, role) -> list[list]:
 def dense_concept_values(i, concept) -> list:
     """Degree of a concept at every element, with some/all read off the
     dense role matrix: sup_y R(x,y) * C(y) and inf_y R(x,y) => C(y)."""
+    return _oracle_concept_values(i, concept, _dense_modal)
+
+
+def _dense_modal(i, role, v, some) -> list:
+    alg = i.algebra
+    rows = dense_role_matrix(i, role)
+    n = i.n
+    if some:
+        return [max((alg.tnorm(rows[x][y], v[y]) for y in range(n) if rows[x][y] != alg.bottom),
+                    default=alg.bottom) for x in range(n)]
+    return [min(alg.residuum(rows[x][y], v[y]) for y in range(n)) for x in range(n)]
+
+
+def _oracle_concept_values(i, concept, modal) -> list:
+    """Degree of a concept at every element, `some R . C` and `all R . C`
+    given by modal(i, R, values of C, some)."""
     alg = i.algebra
     n = i.n
     if isinstance(concept, ConstantConcept):
@@ -453,24 +470,61 @@ def dense_concept_values(i, concept) -> list:
         elem = i.individual_element(concept.individual)
         return [alg.top if x == elem else alg.bottom for x in range(n)]
     if isinstance(concept, BaazConcept):
-        return [alg.baaz(v) for v in dense_concept_values(i, concept.child)]
+        return [alg.baaz(v) for v in _oracle_concept_values(i, concept.child, modal)]
     if isinstance(concept, NotConcept):
-        return [alg.neg(v) for v in dense_concept_values(i, concept.child)]
+        return [alg.neg(v) for v in _oracle_concept_values(i, concept.child, modal)]
     if isinstance(concept, (AndConcept, OrConcept, ImpliesConcept)):
-        left = dense_concept_values(i, concept.left)
-        right = dense_concept_values(i, concept.right)
+        left = _oracle_concept_values(i, concept.left, modal)
+        right = _oracle_concept_values(i, concept.right, modal)
         op = {AndConcept: alg.tnorm, OrConcept: alg.snorm, ImpliesConcept: alg.residuum}[type(concept)]
         return [op(left[x], right[x]) for x in range(n)]
-    if isinstance(concept, ForallConcept):
-        rows = dense_role_matrix(i, concept.role)
-        child = dense_concept_values(i, concept.child)
-        return [min(alg.residuum(rows[x][y], child[y]) for y in range(n)) for x in range(n)]
-    if isinstance(concept, ExistsConcept):
-        rows = dense_role_matrix(i, concept.role)
-        child = dense_concept_values(i, concept.child)
-        return [
-            max((alg.tnorm(rows[x][y], child[y]) for y in range(n) if rows[x][y] != alg.bottom),
-                default=alg.bottom)
-            for x in range(n)
-        ]
+    if isinstance(concept, (ForallConcept, ExistsConcept)):
+        child = _oracle_concept_values(i, concept.child, modal)
+        return modal(i, concept.role, child, isinstance(concept, ExistsConcept))
     raise UsageError(f"unknown concept node {concept!r}")
+
+
+# --- Kleene oracle -----------------------------------------------------------
+
+def kleene_concept_values(i, concept) -> list:
+    """Degree of a concept at every element, with every `R*` closed by
+    Kleene iteration (`kleene_modal`): the oracle for the evaluator's
+    one search per star."""
+    return _oracle_concept_values(i, concept, kleene_modal)
+
+
+def kleene_modal(i, role, v, some, inverted=False) -> list:
+    """some R.v, or all R.v when not `some`, one vector step per node;
+    `R*` is the least (for all, greatest) w with w = join(v, R.w), found
+    by plain iteration.  Degrees never grow along a path, so the iteration
+    settles, but after up to n rounds of one step of R each."""
+    alg = i.algebra
+    join, step = (max, alg.tnorm) if some else (min, alg.residuum)
+    if isinstance(role, InverseRole):
+        return kleene_modal(i, role.child, v, some, not inverted)
+    if isinstance(role, RoleName):
+        out = [alg.bottom if some else alg.top] * i.n
+        for (x, y), degree in i.role_instances(role.name).items():
+            if inverted:
+                x, y = y, x
+            out[x] = join(out[x], step(degree, v[y]))
+        return out
+    if isinstance(role, UniversalRole):
+        return [step(alg.top, join(v))] * i.n
+    if isinstance(role, TestRole):
+        return list(map(step, kleene_concept_values(i, role.concept), v))
+    if isinstance(role, UnionRole):
+        return list(map(join, kleene_modal(i, role.left, v, some, inverted),
+                        kleene_modal(i, role.right, v, some, inverted)))
+    if isinstance(role, ComposeRole):
+        # R ; S applies S first, and R first under an inverse: (R ; S)- = S- ; R-
+        first, second = (role.left, role.right) if inverted else (role.right, role.left)
+        return kleene_modal(i, second, kleene_modal(i, first, v, some, inverted), some, inverted)
+    if isinstance(role, StarRole):
+        w = v
+        while True:
+            nxt = list(map(join, v, kleene_modal(i, role.child, w, some, inverted)))
+            if nxt == w:
+                return w
+            w = nxt
+    raise UsageError(f"unknown role node {role!r}")
