@@ -71,12 +71,11 @@ def _render_block_family(blocks, names) -> str:
 
 
 def _write_output(args, pieces: Iterable[str]) -> None:
-    text = "".join(pieces)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_minimize(args) -> int:

@@ -12,9 +12,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
@@ -1047,12 +1047,11 @@ def interpretation_to_json(i: Interpretation) -> dict:
 
 def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
     """Pieces of text that join to `json.dumps(interpretation_to_json(i),
-    indent=1) + "\n"`, byte for byte.
-
-    Each element name is encoded once, with the `encode_basestring_ascii`
-    that `json.dumps` uses, and each degree object is formatted once.
-    Unlike `json.dumps` with `indent`, it makes no reference cycles.
-    """
+    indent=1) + "\n"`, byte for byte, about one per element, concept value
+    and role instance, so a writer can stream them.  Each element name is
+    encoded once, with the `encode_basestring_ascii` that `json.dumps` uses,
+    and each degree object is formatted once.  Unlike `json.dumps` with
+    `indent`, it makes no reference cycles."""
     names = [encode_basestring_ascii(name) for name in i.names]
     fmt = i.algebra.format_degree
     # keyed by object id, not by degree: `Fraction.__hash__` is slow, and
@@ -1065,38 +1064,39 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
             text = texts[id(degree)] = encode_basestring_ascii(fmt(degree))
         return text
 
-    yield "{\n \"domain\": "
-    yield _json_container("[", "]", names, 1)
-    yield ",\n \"individuals\": "
-    yield _json_container("{", "}", [
-        f"{encode_basestring_ascii(a)}: {names[x]}" for a, x in sorted(i.individuals.items())
-    ], 1)
-    yield ",\n \"concepts\": "
-    yield _json_container("{", "}", [
-        f"{encode_basestring_ascii(cname)}: " + _json_container("{", "}", [
-            f"{names[x]}: {degree_text(degree)}"
-            for x, degree in sorted(i._concepts[cname].items())
-        ], 2)
-        for cname in i.concept_names
-    ], 1)
-    yield ",\n \"roles\": "
-    yield _json_container("{", "}", [
-        f"{encode_basestring_ascii(rname)}: " + _json_container("[", "]", [
-            f"[\n    {names[x]},\n    {names[y]},\n    {degree_text(degree)}\n   ]"
-            for (x, y), degree in sorted(i.role_instances(rname).items())
-        ], 2)
-        for rname in i.role_names
-    ], 1)
-    yield "\n}\n"
+    def concept(cname: str) -> Iterator[str]:
+        return _json_container(f"{encode_basestring_ascii(cname)}: {{", "}", 2, sorted(
+            i._concepts[cname].items()), lambda x, degree: f"{names[x]}: {degree_text(degree)}")
+
+    def role(rname: str) -> Iterator[str]:
+        return _json_container(f"{encode_basestring_ascii(rname)}: [", "]", 2, sorted(
+            i.role_instances(rname).items()), lambda xy, degree: (
+                f"[\n    {names[xy[0]]},\n    {names[xy[1]]},\n    {degree_text(degree)}\n   ]"))
+
+    return chain(
+        ("{\n \"domain\": ",), _json_container("[", "]", 1, names),
+        (",\n \"individuals\": ",), _json_container("{", "}", 1, sorted(i.individuals.items()),
+                                                     lambda a, x: f"{encode_basestring_ascii(a)}: {names[x]}"),
+        (",\n \"concepts\": ",), _json_container("{", "}", 1, i.concept_names, concept, nested=True),
+        (",\n \"roles\": ",), _json_container("{", "}", 1, i.role_names, role, nested=True),
+        ("\n}\n",),
+    )
 
 
-def _json_container(open_: str, close: str, items: list[str], depth: int) -> str:
-    """A JSON array or object at `depth`, laid out as `json.dumps` lays it
-    out with `indent=1`, from its already rendered items."""
+def _json_container(open_: str, close: str, depth: int, items: Sequence,
+                    render: Callable | None = None, nested: bool = False) -> Iterator[str]:
+    """Pieces of a JSON array or object at `depth`, as `json.dumps` lays it
+    out with `indent=1`, one per item; `open_` may start with the
+    container's key.  An item is its text, or `render(*item)` makes it;
+    when `nested`, `render(item)` makes its pieces.  Both run lazily."""
     if not items:
-        return open_ + close
-    inner = "\n" + " " * (depth + 1)
-    return f"{open_}{inner}{(',' + inner).join(items)}\n{' ' * depth}{close}"
+        return iter((open_ + close,))
+    seps = chain((open_ + "\n" + " " * (depth + 1),), repeat(",\n" + " " * (depth + 1)))
+    if nested:
+        body = chain.from_iterable(map(chain, zip(seps), map(render, items)))
+    else:
+        body = map(str.__add__, seps, starmap(render, items) if render else items)
+    return chain(body, ("\n" + " " * depth + close,))
 
 
 def load_interpretation(path: str, algebra: Algebra) -> Interpretation:

@@ -8,10 +8,20 @@ the graph's degree ranks (`FuzzyGraph.levels`), not on the degrees.
 `naive_coarsest_stable_refinement` is a direct fixpoint computation on
 the degrees, used as a differential oracle for the engine.
 
+The engine starts each label's splitter family Q from the initial
+partition P0, one Q-block per initial block, and splits each P0 block once
+by its vertices' sups into every Q-block.  That start P is stable with
+respect to Q and loses no coarseness: a P0 block is a union of blocks of
+any stable refinement of P0, and the sup into a union is the max of the
+sups into its parts.  Each loop step then moves one block out of a
+compound Q-block into a Q-block of its own, so a run over L edge labels
+takes exactly L * (|P| - |P0|) steps for its result P.
+
 The engine keeps its state in flat per-id lists, not objects, so a run
 builds no reference cycles and is freed on return.  Blocks and Q-blocks
 (the splitter blocks, one family per edge label) are never deleted, so
-their ids count up from 0:
+their ids count up from 0; Q-block li * |P0| + bid starts as initial
+block bid for label index li:
 - `blk[v]` is the id of the block holding vertex v, `members[bid]` its
   vertices, and `qof[li][bid]` the id of the label-li Q-block holding it;
 - `qbids[qid][qhead[qid]:]` are a Q-block's block ids, `qlabel[qid]` its
@@ -35,6 +45,7 @@ blocks costs O(1), where a dict would skip every slot deleted before them.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
@@ -130,34 +141,71 @@ class _Refiner:
             if len(block) == 1:
                 self.alone[block[0]] = True
         self.incoming = [g.incoming(label) for label in self.labels]
-        self.qof: list[list[int]] = []
-        self.qbids: list[list[int]] = []
-        self.qhead: list[int] = []
-        self.qlabel: list[int] = []
-        self.queued: list[bool] = []
-        self.agg: list[dict[int, int | DegreeAggregate]] = []
+        nb, nl = len(blocks), len(self.labels)
+        self.qof: list[list[int]] = [list(range(li * nb, (li + 1) * nb)) for li in range(nl)]
+        self.qbids: list[list[int]] = [[bid] for _ in range(nl) for bid in range(nb)]
+        self.qhead: list[int] = [0] * (nl * nb)
+        self.qlabel: list[int] = [li for li in range(nl) for _ in range(nb)]
+        self.queued: list[bool] = [False] * (nl * nb)
+        self.agg: list[dict[int, int | DegreeAggregate]] = [{} for _ in range(nl * nb)]
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
+        # fill the aggregates Q-block by Q-block, in qid order, and append
+        # each source's (qid, sup rank) pair to its signature as the one int
+        # qid * width + rank: an int64 array in qid order, so canonical
+        # without a sort and holding no int objects, or a bare int while the
+        # source has one pair
         pair = DegreeAggregate.pair
-        alone = self.alone
+        alone, width = self.alone, self.width
+        signature: dict[int, int | array] = {}
+        get_signature = signature.get
         for li, incoming in enumerate(self.incoming):
-            qid = self._new_qblock(li, list(range(len(self.members))))
-            self.qof.append([qid] * len(self.members))
-            aggs = self.agg[qid]
-            get = aggs.get
-            for sources in incoming:
-                for x, rank in sources:
-                    if alone[x]:
-                        continue
-                    # a bare int rank until a second edge of x arrives
-                    held = get(x)
-                    if held is None:
-                        aggs[x] = rank
-                    elif type(held) is int:
-                        aggs[x] = pair(held, rank)
+            for bid, block in enumerate(blocks):
+                qid = li * nb + bid
+                aggs = self.agg[qid]
+                get = aggs.get
+                for y in block:
+                    for x, rank in incoming[y]:
+                        if alone[x]:
+                            continue
+                        # a bare int rank until a second edge of x arrives
+                        held = get(x)
+                        if held is None:
+                            aggs[x] = rank
+                        elif type(held) is int:
+                            aggs[x] = pair(held, rank)
+                        else:
+                            held.add(rank)
+                base = qid * width
+                for x, held in aggs.items():
+                    key_rank = base + (held if type(held) is int else held.max())
+                    so_far = get_signature(x)
+                    if so_far is None:
+                        signature[x] = key_rank
+                    elif type(so_far) is int:
+                        signature[x] = array("q", (so_far, key_rank))
                     else:
-                        held.add(rank)
-            self._enqueue_if_compound(qid)
+                        so_far.append(key_rank)
+
+        # split each P0 block by signature (no signature: no edges); the
+        # largest group keeps the block's id
+        for bid in range(nb):
+            verts = self.members[bid]
+            if len(verts) == 1:
+                continue
+            groups: dict[int | bytes | None, list[int]] = {}
+            for v in verts:
+                key = get_signature(v)
+                if type(key) is array:
+                    key = key.tobytes()
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [v]
+                else:
+                    group.append(v)
+            if len(groups) > 1:
+                stays = max(groups.values(), key=len)
+                self._split_block(bid, [moved for moved in groups.values() if moved is not stays])
 
     def _new_qblock(self, label_idx: int, bids: list[int]) -> int:
         qid = len(self.qlabel)
@@ -281,34 +329,41 @@ class _Refiner:
                     group.append(x)
 
         changed = False
-        qbids, queued, queues = self.qbids, self.queued, self.queues
         for bid, by_key in groups.items():
-            verts = members[bid]
             movers = list(by_key.values())
             if len(movers) == 1:
-                if len(movers[0]) == len(verts):
+                if len(movers[0]) == len(members[bid]):
                     continue  # whole block moved together
-            elif sum(map(len, movers)) == len(verts):
+            elif sum(map(len, movers)) == len(members[bid]):
                 del movers[0]  # no unaffected vertex: first group stays in bid
             changed = True
-            for moved in movers:
-                new_bid = len(members)
-                members.append(dict.fromkeys(moved))
-                for v in moved:
-                    del verts[v]
-                    blk[v] = new_bid
-                if len(moved) == 1:
-                    alone[moved[0]] = True
-                for label_idx, qof_label in enumerate(self.qof):
-                    q = qof_label[bid]
-                    qof_label.append(q)
-                    qbids[q].append(new_bid)
-                    if not queued[q]:  # compound: it holds bid and new_bid
-                        queued[q] = True
-                        queues[label_idx].append(q)
-            if len(verts) == 1:
-                alone[next(iter(verts))] = True
+            self._split_block(bid, movers)
         return changed
+
+    def _split_block(self, bid: int, movers: list[list[int]]) -> None:
+        """Move each group of vertices in movers out of block bid into a new
+        block, which joins bid's Q-block in every label; that Q-block now
+        holds two blocks or more, so it is queued unless it waits already."""
+        members, blk, alone = self.members, self.blk, self.alone
+        qbids, queued, queues = self.qbids, self.queued, self.queues
+        verts = members[bid]
+        for moved in movers:
+            new_bid = len(members)
+            members.append(dict.fromkeys(moved))
+            for v in moved:
+                del verts[v]
+                blk[v] = new_bid
+            if len(moved) == 1:
+                alone[moved[0]] = True
+            for label_idx, qof_label in enumerate(self.qof):
+                q = qof_label[bid]
+                qof_label.append(q)
+                qbids[q].append(new_bid)
+                if not queued[q]:
+                    queued[q] = True
+                    queues[label_idx].append(q)
+        if len(verts) == 1:
+            alone[next(iter(verts))] = True
 
 
 def compcb(
@@ -317,10 +372,13 @@ def compcb(
 ) -> Partition:
     """Coarsest stable refinement of g's initial partition.
 
-    Repeatedly picks an edge label whose splitter partition is still
-    coarser than the current partition, takes a compound splitter block,
-    splits it by a contained block of at most half its size, and re-splits
-    the partition against the two halves.
+    Starts each edge label's splitter partition as the initial partition
+    and the partition as its split by every vertex's sups into those
+    splitter blocks.  Then repeatedly picks an edge label whose splitter
+    partition is still coarser than the current partition, takes a
+    compound splitter block, splits it by a contained block of at most half
+    its size, and re-splits the partition against the two halves: one step
+    per block the run adds to the start partition, per edge label.
     """
     return _Refiner(g).run(on_iteration)
 

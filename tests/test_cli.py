@@ -124,29 +124,47 @@ def test_partition_golden(graph_file, capsys):
     assert capsys.readouterr().out.strip() == "{{u},{v,w}}"
 
 
-def test_partition_trace_and_output(graph_file, tmp_path, capsys):
+@pytest.fixture()
+def chain_graph_file(tmp_path):
+    """a -> b -> c -> d: the start partition {a,b},{c},{d} takes two steps."""
+    doc = {"vertices": ["a", "b", "c", "d"],
+           "edges": [["a", "r", "b", "1"], ["b", "r", "c", "1"], ["c", "r", "d", "1"]]}
+    path = tmp_path / "chain_graph.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_partition_trace_and_output(chain_graph_file, tmp_path, capsys):
     out = tmp_path / "p.json"
-    assert main(["partition", "--input", graph_file, "--trace", "--output", str(out)]) == 0
+    assert main(["partition", "--input", chain_graph_file, "--trace", "--output", str(out)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-1] == "{{u},{v,w}}"
-    assert lines[0].startswith("1. split w.r.t. <Y'={u}, Y={u,v,w}, r>")
-    assert json.loads(out.read_text()) == [["u"], ["v", "w"]]
+    assert lines[-1] == "{{a},{b},{c},{d}}"
+    assert lines[0].startswith("1. split w.r.t. <Y'={c}, Y={a,b,c}, r>")
+    assert len(lines) == 3
+    assert json.loads(out.read_text()) == [["a"], ["b"], ["c"], ["d"]]
+
+
+def test_partition_trace_of_a_stable_start_prints_no_step(graph_file, capsys):
+    # {u},{v,w} is the initial partition and already stable: no loop step
+    assert main(["partition", "--input", graph_file, "--trace"]) == 0
+    assert capsys.readouterr().out == "{{u},{v,w}}\n"
 
 
 def test_partition_trace_reports_y_prime_before_it_splits(tmp_path, capsys):
-    # the first Y', {v0,v2}, is itself split by its own iteration
-    doc = {"vertices": ["v0", "v1", "v2", "v3", "v4"],
-           "edges": [["v2", "e0", "v4", "2/3"], ["v0", "e0", "v2", "1/2"],
-                     ["v2", "e0", "v2", "1/2"], ["v0", "e0", "v0", "2/3"]]}
+    # the set-up splits {p,q,s,t} by the edges of s and t into {z}; the
+    # first Y', {p,q}, is itself split by its own iteration
+    doc = {"vertices": ["p", "q", "s", "t", "z"], "vertex_labels": {"z": {"A": "1"}},
+           "edges": [["p", "r", "p", "1"], ["q", "r", "s", "1"], ["s", "r", "z", "1"],
+                     ["s", "r", "p", "1"], ["t", "r", "z", "1"], ["t", "r", "q", "1"]]}
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
     assert main(["partition", "--input", str(path), "--trace"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == (
-        "1. split w.r.t. <Y'={v0,v2}, Y={v0,v1,v2,v3,v4}, e0>: "
-        "P = {{v0},{v1,v3,v4},{v2}}; Q[e0] = {{v0,v2},{v1,v3,v4}}"
+        "1. split w.r.t. <Y'={p,q}, Y={p,q,s,t}, r>: "
+        "P = {{p},{q},{s,t},{z}}; Q[r] = {{p,q},{s,t},{z}}"
     )
-    assert lines[1].startswith("2. split w.r.t. <Y'={v0}, Y={v0,v2}, e0>")
+    assert lines[1].startswith("2. split w.r.t. <Y'={q}, Y={p,q}, r>")
 
 
 def test_eval_goldens(chain_file, capsys):

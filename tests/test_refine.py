@@ -125,45 +125,46 @@ def test_compcb_empty_graph_rejected():
 
 
 def test_trace_reports_first_iteration():
-    g = collapse_graph(GODEL)
+    # a -> b -> c -> d: set-up splits the initial blocks {a,b,c},{d} by the
+    # sups into them to {a,b},{c},{d}, and the first step peels {c} off
+    # {a,b,c}, the Q-block of the initial block
+    g = FuzzyGraph(GODEL, ["a", "b", "c", "d"], {},
+                   [("a", "r", "b", "1"), ("b", "r", "c", "1"), ("c", "r", "d", "1")])
     steps = []
     compcb(g, on_iteration=steps.append)
-    assert len(steps) == 1
+    assert len(steps) == 2
     step = steps[0]
     assert step.label == "r"
-    assert step.y == frozenset(range(3))
-    assert step.y_prime == {g.vertex_id("u")}
-    assert not step.changed
+    assert step.y == set(map(g.vertex_id, "abc"))
+    assert step.y_prime == {g.vertex_id("c")}
+    assert step.changed
 
 
 def test_trace_follows_insertion_order_of_block_members():
     # the order of Y' choices is a property of the code, not of how a
     # set lays out its members: blocks walk their vertices in the order
-    # they joined, which puts 5 before 12 in steps 14 and 15
-    params = GeneratorParams(n_min=2, n_max=60, edge_factor=4, pool_size=6,
-                             vertex_labels=2, edge_labels=1)
-    g = random_graph(params, 78, make_algebra("lukasiewicz"))
+    # they joined, which puts 8 before 5 in steps 11 and 12
+    params = GeneratorParams(n_min=2, n_max=60, edge_factor=4, pool_size=2,
+                             vertex_labels=0, edge_labels=1)
+    g = random_graph(params, 136, GODEL)
     steps = []
     compcb(g, on_iteration=steps.append)
-    assert g.n == 18
+    assert g.n == 16
     assert [(s.label, sorted(s.y_prime), sorted(s.y), s.changed) for s in steps] == [
-        ("e0", [1, 8], list(range(18)), True),
-        ("e0", [0], [0, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [8], [1, 8], True),
-        ("e0", [3], [2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [6], [2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [9], [2, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17], True),
-        ("e0", [7], [2, 4, 5, 7, 10, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [10], [2, 4, 5, 10, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [11], [2, 4, 5, 11, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [14], [2, 4, 5, 12, 13, 14, 15, 16, 17], False),
-        ("e0", [15], [2, 4, 5, 12, 13, 15, 16, 17], False),
-        ("e0", [16], [2, 4, 5, 12, 13, 16, 17], False),
-        ("e0", [17], [2, 4, 5, 12, 13, 17], False),
-        ("e0", [5], [2, 4, 5, 12, 13], False),
-        ("e0", [12], [2, 4, 12, 13], False),
-        ("e0", [4], [2, 4, 13], False),
-        ("e0", [2], [2, 13], False),
+        ("e0", [0, 3], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15], True),
+        ("e0", [10], [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15], True),
+        ("e0", [2, 4], [1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15], True),
+        ("e0", [1], [1, 5, 6, 7, 8, 9, 11, 12, 13, 15], False),
+        ("e0", [2], [2, 4], False),
+        ("e0", [0], [0, 3], False),
+        ("e0", [9], [5, 6, 7, 8, 9, 11, 12, 13, 15], False),
+        ("e0", [7], [5, 6, 7, 8, 11, 12, 13, 15], True),
+        ("e0", [13], [5, 6, 8, 11, 12, 13, 15], True),
+        ("e0", [15], [5, 6, 8, 11, 12, 15], False),
+        ("e0", [8], [5, 6, 8, 11, 12], False),
+        ("e0", [5], [5, 6, 11, 12], False),
+        ("e0", [11], [6, 11, 12], False),
+        ("e0", [12], [6, 12], False),
     ]
 
 
@@ -251,21 +252,24 @@ def test_order_preserving_relabelling_keeps_partition():
 # --- one-vertex blocks ------------------------------------------------------------
 
 def test_check_aggregates_catches_a_corrupt_aggregate():
-    # b, c and d share a block, a is alone: the engine reads b's and c's
-    # aggregates, so corrupting either must fail the check, while an entry
-    # for a is never read and may be anything
+    # b, c and d share an initial block, a is alone; the set-up splits d off,
+    # since only d has an edge into a's block.  The engine reads b's and c's
+    # aggregates into their own Q-block, so corrupting either must fail the
+    # check, while an entry for a is never read and may be anything
     g = FuzzyGraph(GODEL, ["a", "b", "c", "d"], {"a": {"A": "1"}}, [
-        ("b", "r", "a", "0.5"), ("b", "r", "c", "0.5"), ("c", "r", "a", "0.5"),
-        ("a", "r", "b", "1"),
+        ("b", "r", "c", "0.5"), ("b", "r", "d", "0.5"), ("c", "r", "d", "0.5"),
+        ("d", "r", "a", "0.5"), ("a", "r", "b", "1"),
     ])
-    a, b, c = map(g.vertex_id, "abc")
+    a, b, c, d = map(g.vertex_id, "abcd")
 
     def refiner():
         fresh = _Refiner(g)
         check_aggregates(fresh)
-        assert type(fresh.agg[0][b]) is DegreeAggregate and fresh.agg[0][c] == 1
-        assert a not in fresh.agg[0]
-        return fresh
+        assert [sorted(verts) for verts in fresh.members] == [[a], [b, c], [d]]
+        aggs = fresh.agg[fresh.qof[0][fresh.blk[b]]]
+        assert type(aggs[b]) is DegreeAggregate and aggs[c] == 1
+        assert a not in aggs
+        return fresh, aggs
 
     corruptions = [
         lambda aggs: aggs.__setitem__(c, 2),  # wrong sup
@@ -273,12 +277,12 @@ def test_check_aggregates_catches_a_corrupt_aggregate():
         lambda aggs: aggs.pop(c),  # missing
     ]
     for corrupt in corruptions:
-        broken = refiner()
-        corrupt(broken.agg[0])
+        broken, aggs = refiner()
+        corrupt(aggs)
         with pytest.raises(AssertionError):
             check_aggregates(broken)
-    ignored = refiner()
-    ignored.agg[0][a] = 2
+    ignored, aggs = refiner()
+    aggs[a] = 2
     check_aggregates(ignored)
 
 
@@ -298,7 +302,7 @@ def test_one_vertex_blocks_build_no_aggregates(monkeypatch):
 
     monkeypatch.setattr(DegreeAggregate, "pair", classmethod(counting))
     _Refiner(FuzzyGraph(GODEL, names, {}, edges))
-    assert pairs > 0  # one block: every source has three edges per label
+    assert pairs > 0  # few, large blocks: some source has two edges into one
     pairs = 0
 
     labels = {name: {"A": F(k + 1, n + 1)} for k, name in enumerate(names)}
@@ -309,9 +313,8 @@ def test_one_vertex_blocks_build_no_aggregates(monkeypatch):
     assert len(refiner.run(on_iteration=steps.append)) == n
     assert all(not aggs for aggs in refiner.agg)
     assert pairs == 0
-    # each label's Q-block still splits off one block per step, down to n
-    assert len(steps) == (n - 1) * 2
-    assert not any(step.changed for step in steps)
+    # each label's Q starts as the n one-vertex blocks: nothing to step
+    assert steps == []
 
 
 def _singletons_and_twins(seed: int, alg) -> FuzzyGraph:
@@ -363,12 +366,18 @@ def test_compcb_equals_oracle_as_blocks_become_one_vertex(monkeypatch):
 
 
 def test_iteration_count_bounded():
+    # each step moves one block into a Q-block of its own, and each label's
+    # Q starts as the initial partition and ends as the result, so a run
+    # takes exactly L x (|compcb(g)| - |P0|) steps
     params = GeneratorParams(n_min=2, n_max=20, edge_factor=5, pool_size=6,
                              vertex_labels=2, edge_labels=3)
-    for k, g in _random_cases(20, params, seed_base=500):
+    graphs = [g for _, g in _random_cases(60, params, seed_base=500)] + [godel5_chain(256)]
+    for k, g in enumerate(graphs):
         steps = []
-        compcb(g, on_iteration=steps.append)
-        assert len(steps) <= (g.n - 1) * max(1, len(g.edge_label_names)), f"case {k}"
+        p = compcb(g, on_iteration=steps.append)
+        blocks_added = len(p) - len(g.initial_partition())
+        assert len(steps) == len(g.edge_label_names) * blocks_added, f"case {k}"
+    assert len(steps) == 251  # the chain: 256 - 5 blocks added, one label
 
 
 def godel5_chain(n: int, cycle=(3, 1, 4, 2)) -> FuzzyGraph:
@@ -392,7 +401,8 @@ def test_smaller_half_counted_from_the_trace():
         steps = []
         p = compcb(g, on_iteration=steps.append)
         scanned = dict.fromkeys(g.edge_label_names, 0)
-        before = g.initial_partition()
+        before = Partition(_Refiner(g).members, g.n)  # the start partition
+        assert refines(before, g.initial_partition()), f"case {k}"
         for step in steps:
             assert step.y_prime in before.blocks, f"case {k} step {step.index}"
             assert 2 * len(step.y_prime) <= len(step.y), f"case {k} step {step.index}"
@@ -405,7 +415,7 @@ def test_smaller_half_counted_from_the_trace():
         for label, count in scanned.items():
             m_label = sum(map(len, g.incoming(label)))
             assert count <= m_label * (g.n.bit_length() - 1), f"case {k} label {label}"
-    assert len(steps) >= 255  # the chain splits about once per element
+    assert len(steps) >= 250  # the chain splits about once per element
 
 
 def test_result_is_coarsest():
