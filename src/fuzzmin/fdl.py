@@ -11,14 +11,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
-from .graph import FuzzyGraph
+from .graph import FuzzyGraph, _by_source, _edge_store
 from .partition import Partition, ordered_blocks
 from .refine import compcb
 
@@ -267,9 +269,9 @@ class TBoxAxiom:
 class Interpretation:
     """A finite fuzzy interpretation over a shared algebra.
 
-    Concept assignments default to bottom for unlisted elements; role
-    assignments are sparse and hold strictly positive degrees only.
-    Treated as immutable after construction.
+    Concept assignments default to bottom for unlisted elements.  Role
+    instances, of positive degrees, are held once: `levels` and per-target
+    lists (`graph._edge_store`), and per-source lists (`_out`).  Immutable.
 
     The constructor takes names and degree text and validates both; it is
     the boundary for JSON documents and generators.  Each distinct degree
@@ -339,14 +341,9 @@ class Interpretation:
         i._build(algebra, names, individuals, concepts, roles)
         return i
 
-    def _build(
-        self,
-        algebra: Algebra,
-        names: tuple[str, ...],
-        individuals: dict[str, int],
-        concepts: dict[str, dict[int, Degree]],
-        roles: dict[str, dict[tuple[int, int], Degree]],
-    ) -> None:
+    def _build(self, algebra: Algebra, names: tuple[str, ...], individuals: dict[str, int],
+               concepts: dict[str, dict[int, Degree]],
+               roles: dict[str, dict[tuple[int, int], Degree]]) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
@@ -354,8 +351,8 @@ class Interpretation:
         self.individual_names: tuple[str, ...] = tuple(sorted(individuals))
         self._concepts: dict[str, dict[int, Degree]] = concepts
         self.concept_names: tuple[str, ...] = tuple(sorted(concepts))
-        self._roles: dict[str, dict[tuple[int, int], Degree]] = roles
         self.role_names: tuple[str, ...] = tuple(sorted(roles))
+        self._in, self.levels = _edge_store(algebra, self.n, roles)
 
         vocab = [("concept", n) for n in self.concept_names]
         vocab += [("role", n) for n in self.role_names]
@@ -384,9 +381,20 @@ class Interpretation:
         return self._concepts[cname].get(x, self.algebra.bottom)
 
     def role_instances(self, rname: str) -> Mapping[tuple[int, int], Degree]:
-        if rname not in self._roles:
+        """A read-only {(x, y): degree} copy of role rname, by target."""
+        return MappingProxyType({(s, t): self.levels[rank] for t, sources in
+                                 enumerate(self._adjacency(rname, True)) for s, rank in sources})
+
+    @cached_property
+    def _out(self) -> dict:
+        """Per role, the per-source lists, made on first use."""
+        return {rname: _by_source(lists) for rname, lists in self._in.items()}
+
+    def _adjacency(self, rname: str, inverted: bool) -> tuple:
+        """Per-element (successor, rank) lists of role rname or its inverse."""
+        if rname not in self._in:
             raise UsageError(f"unknown role name {rname!r}")
-        return self._roles[rname]
+        return (self._in if inverted else self._out)[rname]
 
 
 def _element_ids(names: tuple[str, ...]) -> dict[str, int]:
@@ -431,11 +439,9 @@ def _role_column(i: Interpretation, role: RoleNode, y: int,
 def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, list[Degree]],
            some: bool, inverted: bool = False) -> list[Degree]:
     """some R.v at every element, or all R.v when not `some`, computed from
-    the stored role instances alone.  A pending inverse is pushed down to
-    the role names; tests and the universal role are their own inverses.
-    `tests` keeps the values of each test's concept, by node identity, so
-    that a test is evaluated once per evaluation, also when `eval_role`
-    asks for every column.
+    the role store alone.  A pending inverse is pushed down to the role
+    names; tests and the universal role are their own inverses.  `tests`
+    memoizes tests (`_test_values`).
 
     The `all` form of each step takes min and the residuum where `some`
     takes max and the t-norm: (sup a) => c = inf (a => c) and
@@ -447,10 +453,10 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
         role, inverted = role.child, not inverted
     if isinstance(role, RoleName):
         out = [alg.bottom if some else alg.top] * i.n
-        for (x, y), degree in i.role_instances(role.name).items():
-            if inverted:
-                x, y = y, x
-            out[x] = join(out[x], step(degree, v[y]))
+        levels = i.levels
+        for x, successors in enumerate(i._adjacency(role.name, inverted)):
+            for y, rank in successors:
+                out[x] = join(out[x], step(levels[rank], v[y]))
         return out
     if isinstance(role, UniversalRole):
         return [step(alg.top, join(v))] * i.n
@@ -523,15 +529,16 @@ def _star(i: Interpretation, star: RoleNode, v: list[Degree], tests: dict[int, l
         reached[q] = 1
         for c, sources in into[q]:
             if sources is None:  # U: the best value settled in q reaches every element
-                moves = zip(range(n), repeat(alg.top)) if first else ()
+                moves, levels = (zip(range(n), repeat(0)) if first else ()), (alg.top,)
             elif sources is _EMPTY_MOVE:  # the same element, the same value
                 moves = ((y, None),)
             else:
-                moves = sources.get(y, ())
+                lists, levels = sources
+                moves = lists[y]
             value_c, done_c = value[c], done[c]
-            for x, degree in moves:
+            for x, rank in moves:
                 if not done_c[x]:
-                    cand = w if degree is None else step(degree, w)
+                    cand = w if rank is None else step(levels[rank], w)
                     if better(cand, value_c[x]):
                         value_c[x] = cand
                         heappush(heap, (-cand if some else cand, c, x))
@@ -550,12 +557,12 @@ class _StarAutomaton:
     states of its parts (`absorb`), so the automaton has O(|R|) states and
     moves, and `r*`, `(r-)*` and `(r | s-)*` have one state.
 
-    `into[q]` lists the moves into state q as pairs (state p, sources),
-    where `sources[y]` lists the (x, degree) with degree = S(x, y) > bottom
-    for the move's atom S, a test C? giving (y, C(y)); sources is None for
-    U and `_EMPTY_MOVE` for an empty move.  `accepting[q]` says whether a
-    word may end in q; state 0 is the start.  States are numbers, so the
-    automaton holds no reference cycle."""
+    `into[q]` lists the moves into state q as pairs (state p, sources):
+    for an atom S, (lists, levels) where `lists[y]` holds the (x, rank)
+    with S(x, y) = levels[rank] > bottom, a test C? giving (y, y) over C's
+    values; None for U and `_EMPTY_MOVE` for an empty move.  `accepting[q]`
+    says whether a word may end in q; state 0 is the start.  States are
+    numbers, so the automaton holds no reference cycle."""
 
     def __init__(self, i: Interpretation, star: RoleNode, inverted: bool,
                  tests: dict[int, list[Degree]]):
@@ -623,24 +630,21 @@ class _StarAutomaton:
             self.referenced.add(after)
         return state
 
-    def sources(self, role: RoleNode, inverted: bool) -> dict | None:
-        """The sources of an atom's move, built once per role name and
-        direction and once per test; None for U."""
+    def sources(self, role: RoleNode, inverted: bool) -> tuple | None:
+        """An atom's sources (a role's predecessor lists), made once per
+        role name and direction and per test; None for U."""
         if isinstance(role, UniversalRole):
             return None
         if isinstance(role, RoleName):
             key = (role.name, inverted)
             if key not in self.built:
-                self.built[key] = sources = {}
-                for (x, y), degree in self.i.role_instances(role.name).items():
-                    if inverted:
-                        x, y = y, x
-                    sources.setdefault(y, []).append((x, degree))
+                self.built[key] = (self.i._adjacency(role.name, not inverted), self.i.levels)
         elif isinstance(role, TestRole):
             key = id(role)
             if key not in self.built:
                 values = _test_values(self.i, role, self.tests)
-                self.built[key] = {y: [(y, c)] for y, c in enumerate(values) if c}
+                self.built[key] = (tuple(((y, y),) if c else () for y, c in enumerate(values)),
+                                   values)
         else:
             raise UsageError(f"unknown role node {role!r}")
         return self.built[key]
@@ -733,20 +737,20 @@ def is_bisimulation(
                 return fail(9, x, xp, f"{cname} differs: {d1} vs {d2}")
 
     zset = set(pairs)
-    basic_roles = [(rname, False) for rname in i1.role_names]
-    if phi.inverse:  # every r, then every r-
-        basic_roles += [(rname, True) for rname in i1.role_names]
-    for rname, inverted in basic_roles:
-        out1 = _successors(i1, rname, inverted)
-        out2 = _successors(i2, rname, inverted)
-        shown = rname + ("-" if inverted else "")
-        for x, xp in pairs:
-            for y, degree in out1[x]:
-                if not any(dp >= degree and (y, yp) in zset for yp, dp in out2[xp]):
-                    return fail(10, x, xp, f"no matching {shown}-successor for {i1.names[y]}")
-            for yp, degree_p in out2[xp]:
-                if not any(d >= degree_p and (y, yp) in zset for y, d in out1[x]):
-                    return fail(11, x, xp, f"no matching {shown}-successor for {i2.names[yp]}")
+    lv1, lv2 = i1.levels, i2.levels
+    for inverted in (False, True) if phi.inverse else (False,):  # every r, then every r-
+        for rname in i1.role_names:
+            out1, out2 = i1._adjacency(rname, inverted), i2._adjacency(rname, inverted)
+            role = rname + ("-" if inverted else "")
+            for x, xp in pairs:  # r- lists are in input order: report the least id
+                bad = [y for y, r in out1[x]
+                       if not any(lv2[rp] >= lv1[r] and (y, yp) in zset for yp, rp in out2[xp])]
+                if bad:
+                    return fail(10, x, xp, f"no matching {role}-successor for {i1.names[min(bad)]}")
+                bad = [yp for yp, rp in out2[xp]
+                       if not any(lv1[r] >= lv2[rp] and (y, yp) in zset for y, r in out1[x])]
+                if bad:
+                    return fail(11, x, xp, f"no matching {role}-successor for {i2.names[min(bad)]}")
 
     if phi.nominal:
         for x, xp in pairs:
@@ -765,18 +769,6 @@ def is_bisimulation(
             return BisimReport(False, 15, (i2.names[xp],), "element unmatched on the right")
 
     return BisimReport(True)
-
-
-def _successors(i: Interpretation, rname: str, inverted: bool) -> list[list[tuple[int, Degree]]]:
-    """Per-element (successor, degree) lists of role rname, or of its inverse,
-    in the order of the sorted (x, y) pairs."""
-    out: list[list[tuple[int, Degree]]] = [[] for _ in range(i.n)]
-    for (x, y), degree in sorted(i._roles[rname].items()):
-        if inverted:
-            out[y].append((x, degree))
-        else:
-            out[x].append((y, degree))
-    return out
 
 
 def largest_bisimulation(
@@ -808,12 +800,15 @@ def largest_bisimulation(
         label: {**labels.get(label, {}), **{x + n1: d for x, d in labels2.get(label, {}).items()}}
         for label in labels.keys() | labels2.keys()
     }
-    edges = {  # the signatures match, so both sides have the same edge labels
-        label: {**table, **{(s + n1, t + n1): d for (s, t), d in edges2[label].items()}}
-        for label, table in edges.items()
+    tables = {  # the signatures match, so both sides have the same edge labels
+        label: {(s + shift, t + shift): side.levels[rank]
+                for side, shift, store in ((i1, 0, lists), (i2, n1, edges2[label]))
+                for t, sources in enumerate(store) for s, rank in sources}
+        for label, lists in edges.items()
     }
     # element names may repeat across the sides; the engine reads only ids
-    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, labels, edges)
+    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, labels,
+                                 *_edge_store(i1.algebra, n1 + i2.n, tables))
     pairs: set[tuple[int, int]] = set()
     for block in compcb(union).blocks:
         left = [x for x in block if x < n1]
@@ -831,34 +826,27 @@ def interpretation_to_graph(i: Interpretation, phi: FeatureSet) -> FuzzyGraph:
 
     Vertex labels are the concept names (plus, with nominals enabled, one
     crisp label per individual name); edge labels are the role names
-    (plus, with inverses enabled, a reversed copy labelled `r-`).  Element
-    ids and the interpretation's degrees, checked when it was built, go to
-    the graph as they are.
+    (plus, with inverses enabled, `r-`).  The graph reads i's own store:
+    `r` is r's per-target lists, `r-` its per-source lists.
     """
-    return FuzzyGraph._from_ids(i.algebra, i.names, *_encoding(i, phi))
+    return FuzzyGraph._from_ids(i.algebra, i.names, *_encoding(i, phi), i.levels)
 
 
-def _encoding(
-    i: Interpretation, phi: FeatureSet
-) -> tuple[dict[str, Mapping[int, Degree]], dict[str, Mapping[tuple[int, int], Degree]]]:
-    """Per-label vertex tables {x: degree} and edge tables {(x, y): degree}
-    of i's graph encoding, shared with `largest_bisimulation`'s disjoint
-    union: i's own non-empty concept tables, plus one {x: top} table per
-    individual under nominals, and i's own role tables, only read."""
+def _encoding(i: Interpretation, phi: FeatureSet) -> tuple[dict, dict]:
+    """Per-label vertex tables and edge lists of i's graph encoding, read
+    from i, plus one {x: top} table per individual under nominals."""
     labels: dict[str, Mapping[int, Degree]] = {c: t for c, t in i._concepts.items() if t}
     if phi.nominal:  # names are unique across concepts and individuals
         for a, x in i.individuals.items():
             labels[a] = {x: i.algebra.top}
 
-    edges: dict[str, Mapping[tuple[int, int], Degree]] = dict(i._roles)
+    edges = dict(i._in)
     if phi.inverse:
         for rname in i.role_names:
-            reversed_label = rname + "-"
-            if reversed_label in i.role_names:
-                raise UsageError(
-                    f"role name {reversed_label!r} collides with the inverse label of {rname!r}"
-                )
-            edges[reversed_label] = {(y, x): d for (x, y), d in i._roles[rname].items()}
+            if rname + "-" in edges:
+                raise UsageError(f"role name {rname + '-'!r} collides with the inverse label "
+                                 f"of {rname!r}")
+            edges[rname + "-"] = i._out[rname]
     return labels, edges
 
 
@@ -890,21 +878,17 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
         concepts[cname] = {bi: table[x] for bi, x in enumerate(firsts) if x in table}
     roles: dict[str, dict[tuple[int, int], Degree]] = {}
     for rname in i.role_names:
-        sups: dict[tuple[int, int], Degree] = {}
-        for (x, y), degree in i.role_instances(rname).items():
-            key = (block_of[x], block_of[y])
-            held = sups.get(key)
-            if held is None or degree > held:
-                sups[key] = degree
-        roles[rname] = sups
+        sups: dict[tuple[int, int], int] = {}
+        for by, sources in zip(block_of, i._in[rname]):
+            for x, rank in sources:
+                key = (block_of[x], by)
+                if rank > sups.get(key, 0):
+                    sups[key] = rank
+        roles[rname] = {key: i.levels[rank] for key, rank in sups.items()}
 
     return Interpretation._from_ids(
-        i.algebra,
-        tuple(block_name(map(name_of, ids)) for ids in member_ids),
-        {a: block_of[x] for a, x in i.individuals.items()},
-        concepts,
-        roles,
-    )
+        i.algebra, tuple(block_name(map(name_of, ids)) for ids in member_ids),
+        {a: block_of[x] for a, x in i.individuals.items()}, concepts, roles)
 
 
 def minimize(i: Interpretation, phi: FeatureSet) -> Interpretation:
@@ -933,19 +917,16 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         raise UsageError("pruning needs at least one named individual")
     if phi.universal:
         raise UsageError("pruning applies only when the universal role is disabled")
-    successors: list[list[int]] = [[] for _ in range(i.n)]
-    for table in i._roles.values():
-        for x, y in table:
-            successors[x].append(y)
-            if phi.inverse:
-                successors[y].append(x)
+    adjacency = [*i._out.values(), *(i._in.values() if phi.inverse else ())]
     seen = set(i.individuals.values())
     stack = list(seen)
     while stack:
-        for y in successors[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+        x = stack.pop()
+        for lists in adjacency:
+            for y, _ in lists[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
 
     keep = [x for x in range(i.n) if x in seen]
     new_id = {x: k for k, x in enumerate(keep)}
@@ -953,14 +934,10 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         cname: {new_id[x]: degree for x, degree in i._concepts[cname].items() if x in new_id}
         for cname in i.concept_names
     }
-    roles = {
-        rname: {
-            (new_id[x], new_id[y]): degree
-            for (x, y), degree in i.role_instances(rname).items()
-            if x in new_id and y in new_id
-        }
-        for rname in i.role_names
-    }
+    roles = {rname: {(new_id[x], new_id[y]): i.levels[rank]
+                     for y, sources in enumerate(i._in[rname]) if y in new_id
+                     for x, rank in sources if x in new_id}
+             for rname in i.role_names}
     individuals = {a: new_id[x] for a, x in i.individuals.items()}
     return Interpretation._from_ids(
         i.algebra, tuple(i.names[x] for x in keep), individuals, concepts, roles
@@ -1037,8 +1014,8 @@ def interpretation_to_json(i: Interpretation) -> dict:
         },
         "roles": {
             rname: [
-                [i.names[x], i.names[y], fmt(degree)]
-                for (x, y), degree in sorted(i.role_instances(rname).items())
+                [i.names[x], i.names[y], fmt(i.levels[rank])]
+                for x, successors in enumerate(i._out[rname]) for y, rank in successors
             ]
             for rname in i.role_names
         },
@@ -1050,12 +1027,11 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
     indent=1) + "\n"`, byte for byte, about one per element, concept value
     and role instance, so a writer can stream them.  Each element name is
     encoded once, with the `encode_basestring_ascii` that `json.dumps` uses,
-    and each degree object is formatted once.  Unlike `json.dumps` with
+    and each degree object or level once.  Unlike `json.dumps` with
     `indent`, it makes no reference cycles."""
     names = [encode_basestring_ascii(name) for name in i.names]
     fmt = i.algebra.format_degree
-    # keyed by object id, not by degree: `Fraction.__hash__` is slow, and
-    # i's tables keep every degree alive, so no id is reused meanwhile
+    # by object id: `Fraction.__hash__` is slow, and i keeps every degree alive
     texts: dict[int, str] = {}
 
     def degree_text(degree: Degree) -> str:
@@ -1068,10 +1044,12 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
         return _json_container(f"{encode_basestring_ascii(cname)}: {{", "}", 2, sorted(
             i._concepts[cname].items()), lambda x, degree: f"{names[x]}: {degree_text(degree)}")
 
+    levels = [encode_basestring_ascii(fmt(degree)) for degree in i.levels]
+
     def role(rname: str) -> Iterator[str]:
-        return _json_container(f"{encode_basestring_ascii(rname)}: [", "]", 2, sorted(
-            i.role_instances(rname).items()), lambda xy, degree: (
-                f"[\n    {names[xy[0]]},\n    {names[xy[1]]},\n    {degree_text(degree)}\n   ]"))
+        return _json_container(f"{encode_basestring_ascii(rname)}: [", "]", 2, [
+            (x, y, rank) for x, successors in enumerate(i._out[rname]) for y, rank in successors
+        ], lambda x, y, rank: f"[\n    {names[x]},\n    {names[y]},\n    {levels[rank]}\n   ]")
 
     return chain(
         ("{\n \"domain\": ",), _json_container("[", "]", 1, names),

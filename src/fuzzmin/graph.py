@@ -4,7 +4,8 @@ A graph has dense vertex ids, fuzzy vertex labels and sparse labeled edges
 holding strictly positive degrees.  Graphs are immutable after construction
 and all degrees belong to one shared algebra.  Both are stored per label:
 a vertex label as one {vertex: degree} table (absent = bottom), an edge
-label as per-target incoming lists; there is no outgoing adjacency.
+label as per-target incoming lists from `_edge_store`, which interpretations
+share.
 """
 
 from __future__ import annotations
@@ -24,12 +25,47 @@ class GraphStats:
     l: int  # distinct edge degrees
 
 
+_EdgeLists = tuple[tuple[tuple[int, int], ...], ...]  # per vertex, (vertex, rank) pairs
+
+
+def _edge_store(algebra: Algebra, n: int, tables: Mapping[str, Mapping[tuple[int, int], Degree]]
+                ) -> tuple[dict[str, _EdgeLists], tuple[Degree, ...]]:
+    """The edge store of per-label {(source, target): degree} tables over n
+    vertices: per label, the per-target (source, rank) lists in the table's
+    order, and `levels`, bottom and then the distinct degrees ascending,
+    which the ranks index.  Degrees are ranked by object id, hashing each
+    distinct degree object once (a parsed document holds one object per
+    distinct text)."""
+    objects = {id(d): d for table in tables.values() for d in table.values()}
+    by_value: dict[Degree, list[int]] = {}
+    for key, degree in objects.items():
+        by_value.setdefault(degree, []).append(key)
+    ascending = sorted(by_value)
+    rank_of = {key: rank for rank, d in enumerate(ascending, 1) for key in by_value[d]}
+    incoming: dict[str, _EdgeLists] = {}
+    for label, table in tables.items():
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (s, t), degree in table.items():
+            lists[t].append((s, rank_of[id(degree)]))
+        incoming[label] = tuple(map(tuple, lists))
+    return incoming, (algebra.bottom, *ascending)
+
+
+def _by_source(incoming: _EdgeLists) -> _EdgeLists:
+    """Per-target (source, rank) lists as per-source (target, rank) lists,
+    each in order of target: one scan, no sort."""
+    lists: list[list[tuple[int, int]]] = [[] for _ in incoming]
+    for t, sources in enumerate(incoming):
+        for s, rank in sources:
+            lists[s].append((t, rank))
+    return tuple(map(tuple, lists))
+
+
 class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
     Each vertex label is one {vertex: degree} table without bottom degrees,
-    kept as given; `label_vector` and `initial_partition` read one column
-    per label.
+    kept as given; `initial_partition` reads one column per label.
     Edge degrees are interned once: `levels` holds bottom at index 0 and the
     distinct edge degrees in ascending order after it.  The edges are stored
     once, per label and target, as (source, rank) lists with ranks into
@@ -77,57 +113,33 @@ class FuzzyGraph:
                     f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
                 )
             table[s, t] = degree
-        self._build(algebra, names, labels, tables)
+        self._build(algebra, names, labels, *_edge_store(algebra, len(names), tables))
 
     @classmethod
-    def _from_ids(
-        cls,
-        algebra: Algebra,
-        names: tuple[str, ...],
-        labels: Mapping[str, Mapping[int, Degree]],
-        edges: Mapping[str, Mapping[tuple[int, int], Degree]],
-    ) -> "FuzzyGraph":
-        """A graph from vertex ids and already checked degrees, as per-label
-        tables that are only read: {vertex: degree} in `labels`, with no bottom
-        degrees, and {(source, target): degree} in `edges`, with no zeros."""
+    def _from_ids(cls, algebra: Algebra, names: tuple[str, ...],
+                  labels: Mapping[str, Mapping[int, Degree]], edges: Mapping[str, _EdgeLists],
+                  levels: tuple[Degree, ...]) -> "FuzzyGraph":
+        """A graph from vertex ids and checked data, only read: {vertex:
+        degree} tables with no bottom degrees in `labels`, and an edge store,
+        `edges` and `levels` (an interpretation's encoding passes its own);
+        a label without an edge is left out."""
         g = cls.__new__(cls)
         g._id = {name: i for i, name in enumerate(names)}
-        g._build(algebra, names, labels, edges)
+        g._build(algebra, names, labels, edges, levels)
         return g
 
-    def _build(
-        self,
-        algebra: Algebra,
-        names: tuple[str, ...],
-        labels: Mapping[str, Mapping[int, Degree]],
-        edges: Mapping[str, Mapping[tuple[int, int], Degree]],
-    ) -> None:
+    def _build(self, algebra: Algebra, names: tuple[str, ...],
+               labels: Mapping[str, Mapping[int, Degree]], edges: Mapping[str, _EdgeLists],
+               levels: tuple[Degree, ...]) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
         self.vertex_label_names: tuple[str, ...] = tuple(sorted(labels))
         self._labels = labels
-
-        # rank the edge degrees by object id, hashing each distinct degree
-        # object once (a reversed edge shares its degree object with the
-        # forward edge, a parsed document one object per distinct text)
-        objects = {id(d): d for table in edges.values() for d in table.values()}
-        by_value: dict[Degree, list[int]] = {}
-        for key, degree in objects.items():
-            by_value.setdefault(degree, []).append(key)
-        ascending = sorted(by_value)
-        rank_of = {key: rank for rank, d in enumerate(ascending, 1) for key in by_value[d]}
-        self.levels: tuple[Degree, ...] = (algebra.bottom, *ascending)
-
-        self._in: dict[str, tuple[tuple[tuple[int, int], ...], ...]] = {}
-        for label, table in edges.items():
-            if table:
-                lists: list[list[tuple[int, int]]] = [[] for _ in names]
-                for (s, t), degree in table.items():
-                    lists[t].append((s, rank_of[id(degree)]))
-                self._in[label] = tuple(map(tuple, lists))
+        self.levels: tuple[Degree, ...] = levels
+        self._in = {label: lists for label, lists in edges.items() if any(lists)}
         self.edge_label_names: tuple[str, ...] = tuple(sorted(self._in))
-        self._m = sum(map(len, edges.values()))
+        self._m = sum(sum(map(len, lists)) for lists in self._in.values())
 
     @property
     def edges(self) -> tuple[tuple[int, str, int, Degree], ...]:
@@ -147,19 +159,14 @@ class FuzzyGraph:
         except KeyError:
             raise UsageError(f"unknown vertex {name!r}") from None
 
-    def incoming(self, label: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def incoming(self, label: str) -> _EdgeLists:
         """Per-target incoming (source, rank) lists for one edge label, each
-        in input order: the edge store itself, built by the constructor."""
+        in input order: the edge store itself.  In an interpretation's
+        encoding it is the interpretation's own store, and `r-` reads `r`'s
+        per-source lists, each in order of source."""
         if label not in self.edge_label_names:
             raise UsageError(f"unknown edge label {label!r}")
         return self._in[label]
-
-    def label_vector(self, v: int) -> tuple[Degree, ...]:
-        """Dense label degrees of v, one per label table in sorted name order."""
-        if not 0 <= v < self.n:
-            raise UsageError(f"unknown vertex id {v}")
-        bottom = self.algebra.bottom
-        return tuple(self._labels[name].get(v, bottom) for name in self.vertex_label_names)
 
     def initial_partition(self) -> Partition:
         """Group vertices by label vector and per-label sup of all outgoing degrees."""

@@ -2,8 +2,9 @@
 as oracles for the id-built graph encoding, quotient and pruning, the
 out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
 fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
-invariant checked after each `compcb` iteration, the partition and
-aggregate reads only tests need (`refines`, `aggregate_size`), the dense
+invariant checked after each `compcb` iteration, the partition, graph and
+aggregate reads only tests need (`refines`, `label_vector`,
+`aggregate_size`), the dense
 evaluator kept as the differential oracle for `eval_concept` and
 `eval_role`, and the Kleene iteration that closed `R*` before the
 evaluator's one search per star, kept as that search's oracle."""
@@ -220,6 +221,12 @@ def oracle_graphs() -> list[FuzzyGraph]:
     return graphs
 
 
+def label_vector(g, v) -> tuple:
+    """Dense label degrees of vertex v, one per label table in sorted name order."""
+    bottom = g.algebra.bottom
+    return tuple(g._labels[name].get(v, bottom) for name in g.vertex_label_names)
+
+
 def out_maps(g) -> list[dict]:
     """Per vertex and edge label, a dict of target -> degree, from `edges`."""
     out: list[dict] = [{} for _ in range(g.n)]
@@ -239,7 +246,7 @@ def initial_partition_by_out_maps(g) -> Partition:
             max(out[v].get(label, {}).values(), default=g.algebra.bottom)
             for label in g.edge_label_names
         )
-        groups.setdefault((g.label_vector(v), sups), []).append(v)
+        groups.setdefault((label_vector(g, v), sups), []).append(v)
     return Partition(groups.values(), g.n)
 
 

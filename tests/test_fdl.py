@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -56,6 +57,7 @@ from helpers import (
     dense_concept_values,
     dense_role_matrix,
     graph_by_names,
+    label_vector,
     largest_bisimulation_by_fixpoint,
     out_maps,
     prune_by_names,
@@ -320,6 +322,34 @@ def test_totality_and_surjectivity_with_universal():
     assert not report.ok and report.condition == 15
 
 
+CHECK_REPORTS_DIGEST = "3310ceaccc64ce4a3c099f9826a9b1bae995b32dd55f3b1bf2744e84f133d3ef"
+
+
+def check_reports_digest() -> str:
+    """SHA-256 over `is_bisimulation`'s (ok, condition, witness, detail) on
+    2,000 seeded interpretations with two roles, each against itself with
+    the identity plus one random pair, under baaz and under baaz,inverse.
+    The witness and detail name the first failing pair and successor, so
+    the digest pins the order in which successors are read."""
+    params = GeneratorParams(n_min=2, n_max=12, concept_count=0, role_count=2,
+                             individual_count=1)
+    phis = (FeatureSet.from_names(["baaz"]), FeatureSet.from_names(["baaz", "inverse"]))
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        i = random_interpretation(params, seed, GODEL)
+        rng = random.Random(f"check:{seed}")
+        z = {(x, x) for x in range(i.n)} | {(rng.randrange(i.n), rng.randrange(i.n))}
+        for phi in phis:
+            report = is_bisimulation(i, i, z, phi)
+            digest.update(repr((report.ok, report.condition, report.witness,
+                                report.detail)).encode())
+    return digest.hexdigest()
+
+
+def test_check_reports_are_pinned():
+    assert check_reports_digest() == CHECK_REPORTS_DIGEST
+
+
 def test_signature_mismatch_rejected():
     i1 = chain_interp(GODEL)
     other = Interpretation(GODEL, ["x"], concepts={"B": {}}, roles={"r": []})
@@ -468,8 +498,8 @@ def test_encoding_nominal_labels():
     g = interpretation_to_graph(two_component_interp(GODEL), PHI_O)
     assert g.vertex_label_names == ("o",)
     a = g.vertex_id("a")
-    assert g.label_vector(a) == (F(1),)
-    assert all(g.label_vector(v) == (F(0),) for v in range(g.n) if v != a)
+    assert label_vector(g, a) == (F(1),)
+    assert all(label_vector(g, v) == (F(0),) for v in range(g.n) if v != a)
 
 
 def test_encoding_drops_concepts_without_a_non_bottom_degree():
@@ -477,7 +507,7 @@ def test_encoding_drops_concepts_without_a_non_bottom_degree():
                        roles={"r": []})
     g = interpretation_to_graph(i, PHI_PSI)
     assert g.vertex_label_names == ("B",)
-    assert [g.label_vector(v) for v in range(g.n)] == [(F(0),), (F(1, 2),)]
+    assert [label_vector(g, v) for v in range(g.n)] == [(F(0),), (F(1, 2),)]
 
 
 def test_encoding_inverse_doubles_edges():
@@ -488,6 +518,15 @@ def test_encoding_inverse_doubles_edges():
     assert stats.m == 20
     b, a = g.vertex_id("b"), g.vertex_id("a")
     assert out_maps(g)[b]["r-"][a] == F("0.8")
+
+
+def test_encoding_reads_the_interpretation_store_without_a_copy():
+    # r is the per-target store, r- the per-source store, and both share levels
+    i = two_component_interp(GODEL)
+    g = interpretation_to_graph(i, PHI_I)
+    assert g.incoming("r") is i._in["r"]
+    assert g.incoming("r-") is i._out["r"]
+    assert g.levels is i.levels
 
 
 def test_encoding_rejects_colliding_inverse_label():

@@ -16,6 +16,7 @@ from fuzzmin.generate import (
     random_interpretation,
     random_role,
 )
+from helpers import label_vector
 
 GODEL = GodelAlgebra()
 PARAMS = GeneratorParams(n_min=2, n_max=15, edge_factor=4, pool_size=5)
@@ -23,7 +24,7 @@ PARAMS = GeneratorParams(n_min=2, n_max=15, edge_factor=4, pool_size=5)
 
 def graph_fingerprint(g):
     return (g.names, g.vertex_label_names, g.edge_label_names, g.edges,
-            tuple(g.label_vector(v) for v in range(g.n)))
+            tuple(label_vector(g, v) for v in range(g.n)))
 
 
 def test_same_seed_same_instance():

@@ -19,6 +19,7 @@ from helpers import (
     blocks_by_names,
     collapse_graph,
     initial_partition_by_out_maps,
+    label_vector,
     oracle_graphs,
     out_maps,
     two_component_interp,
@@ -56,7 +57,7 @@ def test_initial_partition_groups_have_equal_labels_and_sups():
         members = sorted(block)
         first = members[0]
         for v in members[1:]:
-            assert g.label_vector(v) == g.label_vector(first)
+            assert label_vector(g, v) == label_vector(g, first)
             for label in g.edge_label_names:
                 assert sup(v, label) == sup(first, label)
 
@@ -187,7 +188,7 @@ def test_json_loading_keeps_decimals_exact(tmp_path):
     path.write_text(json.dumps(doc))
     g = load_graph(str(path), GODEL)
     u, v = g.vertex_id("u"), g.vertex_id("v")
-    assert g.label_vector(u) == (F(4, 5),)
+    assert label_vector(g, u) == (F(4, 5),)
     assert g.edges == ((u, "r", v, F(9, 10)), (v, "r", v, F(1, 3)))
 
 
@@ -216,7 +217,7 @@ def test_initial_partition_matches_the_out_map_oracle():
 def test_constructor_keeps_a_vertex_label_that_is_bottom_everywhere():
     g = FuzzyGraph(GODEL, ["u"], {"u": {"A": "0"}})
     assert g.vertex_label_names == ("A",)
-    assert g.label_vector(0) == (GODEL.bottom,)
+    assert label_vector(g, 0) == (GODEL.bottom,)
     mixed = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "0", "B": "0"}, "v": {"B": "0.5"}})
     assert mixed.vertex_label_names == ("A", "B")
-    assert [mixed.label_vector(v) for v in range(mixed.n)] == [(F(0), F(0)), (F(0), F(1, 2))]
+    assert [label_vector(mixed, v) for v in range(mixed.n)] == [(F(0), F(0)), (F(0), F(1, 2))]

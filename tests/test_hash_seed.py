@@ -17,6 +17,7 @@ import fuzzmin
 from fuzzmin import (FeatureSet, canonical_relation, compcb, interpretation_to_graph,
                      interpretation_to_json, make_algebra, quotient)
 from fuzzmin.generate import GeneratorParams, random_graph, random_interpretation
+from helpers import label_vector
 
 FEATURES = "baaz,inverse,nominal"
 SOURCE = str(Path(fuzzmin.__file__).resolve().parent.parent)
@@ -43,7 +44,7 @@ def _write_inputs(work: Path) -> str:
     (work / "graph.json").write_text(json.dumps({
         "vertices": list(names),
         "vertex_labels": {names[v]: {lab: fmt(d) for lab, d in zip(g.vertex_label_names,
-                                                                  g.label_vector(v)) if d}
+                                                                  label_vector(g, v)) if d}
                           for v in range(g.n)},
         "edges": [[names[s], lab, names[t], fmt(d)] for s, lab, t, d in g.edges],
     }))

@@ -15,6 +15,7 @@ from fuzzmin.cli import main
 from fuzzmin.fdl import FEATURE_NAMES, interpretation_from_json, load_relation
 from fuzzmin.graph import graph_from_json
 from fuzzmin.syntax import parse_concept
+from helpers import label_vector
 
 GODEL = GodelAlgebra()
 GODEL5 = load_lattice(bundled_lattice_path("godel5"))
@@ -80,7 +81,7 @@ def test_equal_texts_share_one_degree_object():
     assert i.role_instances("r")[(1, 2)] is i.concept_degree("A", 0)
     g = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "1/2"}, "v": {"A": "1/2"}},
                    [("u", "r", "v", "1/2")])
-    assert g.label_vector(0)[0] is g.label_vector(1)[0] is g.levels[1]
+    assert label_vector(g, 0)[0] is label_vector(g, 1)[0] is g.levels[1]
 
 
 # --- fuzz: only UsageError out of the loaders ----------------------------------

@@ -25,6 +25,7 @@ from helpers import (
     collapse_graph,
     compcb_checked,
     is_stable_by_out_edges,
+    label_vector,
     oracle_graphs,
     refines,
     two_component_interp,
@@ -240,7 +241,7 @@ def test_order_preserving_relabelling_keeps_partition():
             g.names,
             {
                 g.names[v]: {label: d * d for label, d in zip(g.vertex_label_names,
-                                                                g.label_vector(v))}
+                                                                label_vector(g, v))}
                 for v in range(g.n)
             },
             [(g.names[s], label, g.names[t], d * d) for s, label, t, d in g.edges],
