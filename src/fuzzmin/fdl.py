@@ -440,8 +440,9 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
            some: bool, inverted: bool = False) -> list[Degree]:
     """some R.v at every element, or all R.v when not `some`, computed from
     the role store alone.  A pending inverse is pushed down to the role
-    names; tests and the universal role are their own inverses.  `tests`
-    memoizes tests (`_test_values`).
+    names; tests and the universal role are their own inverses.  Like the
+    star search, it reads predecessor lists.  `tests` memoizes tests
+    (`_test_values`).
 
     The `all` form of each step takes min and the residuum where `some`
     takes max and the t-norm: (sup a) => c = inf (a => c) and
@@ -454,9 +455,10 @@ def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, 
     if isinstance(role, RoleName):
         out = [alg.bottom if some else alg.top] * i.n
         levels = i.levels
-        for x, successors in enumerate(i._adjacency(role.name, inverted)):
-            for y, rank in successors:
-                out[x] = join(out[x], step(levels[rank], v[y]))
+        for y, sources in enumerate(i._adjacency(role.name, not inverted)):
+            w = v[y]
+            for x, rank in sources:
+                out[x] = join(out[x], step(levels[rank], w))
         return out
     if isinstance(role, UniversalRole):
         return [step(alg.top, join(v))] * i.n
@@ -872,10 +874,8 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
             block_of[x] = bi
     firsts = [ids[0] for ids in member_ids]
 
-    concepts: dict[str, dict[int, Degree]] = {}
-    for cname in i.concept_names:
-        table = i._concepts[cname]
-        concepts[cname] = {bi: table[x] for bi, x in enumerate(firsts) if x in table}
+    concepts = {cname: {block_of[x]: d for x, d in table.items() if firsts[block_of[x]] == x}
+                for cname, table in i._concepts.items()}
     roles: dict[str, dict[tuple[int, int], Degree]] = {}
     for rname in i.role_names:
         sups: dict[tuple[int, int], int] = {}

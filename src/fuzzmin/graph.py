@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import UsageError
-from .partition import Partition
+from .partition import Partition, class_groups, split_classes
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
     Each vertex label is one {vertex: degree} table without bottom degrees,
-    kept as given; `initial_partition` reads one column per label.
+    kept as given; `initial_partition` splits classes by each table.
     Edge degrees are interned once: `levels` holds bottom at index 0 and the
     distinct edge degrees in ascending order after it.  The edges are stored
     once, per label and target, as (source, rank) lists with ranks into
@@ -174,23 +174,23 @@ class FuzzyGraph:
 
     def _initial_blocks(self) -> list[list[int]]:
         """`initial_partition`'s sorted blocks in `Partition`'s order (by least
-        vertex), from one column per vertex label and per edge label."""
+        vertex): the classes split by each vertex label's table, then by the
+        vertices' per-label sup ranks."""
         if self.n == 0:
             raise UsageError("graph has no vertices")
-        bottom, tables = self.algebra.bottom, self._labels
-        columns = [[tables[name].get(v, bottom) for v in range(self.n)]
-                   for name in self.vertex_label_names]
+        cls, fresh = [0] * self.n, 1
+        for name in self.vertex_label_names:
+            fresh = split_classes(cls, self._labels[name].items(), fresh)
+        sups = []
         for label in self.edge_label_names:
             sup = [0] * self.n
-            for sources in self.incoming(label):
+            for sources in self._in[label]:
                 for s, rank in sources:
                     if rank > sup[s]:
                         sup[s] = rank
-            columns.append(sup)
-        groups: dict[tuple, list[int]] = {}
-        for v, key in enumerate(zip(*columns) if columns else [()] * self.n):
-            groups.setdefault(key, []).append(v)
-        return list(groups.values())
+            sups.append(sup)
+        split_classes(cls, enumerate(zip(*sups)), fresh)
+        return class_groups(range(self.n), cls)
 
     def stats(self) -> GraphStats:
         return GraphStats(n=self.n, m=self._m, l=len(self.levels) - 1)

@@ -1,9 +1,10 @@
 """Partitions of a dense vertex id range, with a canonical block order,
-and `ordered_blocks`, the one order by name in which blocks are rendered."""
+`ordered_blocks`, the one order by name in which blocks are rendered, and
+`split_classes`, the one rule that splits vertex classes by a column."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import UsageError
 
@@ -14,6 +15,28 @@ def ordered_blocks(blocks: Iterable[Iterable[int]], names: Sequence[str]) -> lis
     numbered.  Blocks must be disjoint, so no two share a first name."""
     name_of = names.__getitem__
     return sorted((sorted(block, key=name_of) for block in blocks), key=lambda ids: names[ids[0]])
+
+
+def split_classes(cls: list[int], column: Iterable[tuple[int, Hashable]], fresh: int) -> int:
+    """Refine the per-vertex class ids `cls` in place by a column of (vertex,
+    value) pairs, each vertex at most once; the vertices it leaves out share
+    one value (bottom) that it does not list.  A listed vertex moves to the
+    class of its (class, value) key, numbered up from `fresh` (above every id
+    in use), so splits in turn give the classes of whole-vector keys.
+    Returns the next free id; O(len(column))."""
+    new: dict[tuple[int, Hashable], int] = {}
+    for v, value in column:
+        cls[v] = new.setdefault((cls[v], value), fresh + len(new))
+    return fresh + len(new)
+
+
+def class_groups(vertices: Iterable[int], cls: Sequence[int]) -> list[list[int]]:
+    """The vertices grouped by class id in `cls`, each group in the order
+    given and the groups in order of their first vertex."""
+    groups: dict[int, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(cls[v], []).append(v)
+    return list(groups.values())
 
 
 class Partition:

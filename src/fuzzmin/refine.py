@@ -10,7 +10,9 @@ the degrees, used as a differential oracle for the engine.
 
 The engine starts each label's splitter family Q from the initial
 partition P0, one Q-block per initial block, and splits each P0 block once
-by its vertices' sups into every Q-block.  That start P is stable with
+by its vertices' sups into every Q-block: `partition.split_classes` splits
+the vertices' classes by each Q-block's sup ranks in turn, and the largest
+class of each P0 block keeps its id.  That start P is stable with
 respect to Q and loses no coarseness: a P0 block is a union of blocks of
 any stable refinement of P0, and the sup into a union is the max of the
 sups into its parts.  Each loop step then moves one block out of a
@@ -45,13 +47,12 @@ blocks costs O(1), where a dict would skip every slot deleted before them.
 from __future__ import annotations
 
 import heapq
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from .errors import UsageError
-from .partition import Partition
+from .partition import Partition, class_groups, split_classes
 
 if TYPE_CHECKING:
     from .algebra import Degree
@@ -150,19 +151,14 @@ class _Refiner:
         self.agg: list[dict[int, int | DegreeAggregate]] = [{} for _ in range(nl * nb)]
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
-        # fill the aggregates Q-block by Q-block, in qid order, and append
-        # each source's (qid, sup rank) pair to its signature as the one int
-        # qid * width + rank: an int64 array in qid order, so canonical
-        # without a sort and holding no int objects, or a bare int while the
-        # source has one pair
+        # fill the aggregates Q-block by Q-block, in qid order, and split the
+        # sources' classes, at first their blocks, by their sup rank into each one
         pair = DegreeAggregate.pair
-        alone, width = self.alone, self.width
-        signature: dict[int, int | array] = {}
-        get_signature = signature.get
+        alone = self.alone
+        cls, fresh = self.blk[:], nb
         for li, incoming in enumerate(self.incoming):
             for bid, block in enumerate(blocks):
-                qid = li * nb + bid
-                aggs = self.agg[qid]
+                aggs = self.agg[li * nb + bid]
                 get = aggs.get
                 for y in block:
                     for x, rank in incoming[y]:
@@ -176,36 +172,15 @@ class _Refiner:
                             aggs[x] = pair(held, rank)
                         else:
                             held.add(rank)
-                base = qid * width
-                for x, held in aggs.items():
-                    key_rank = base + (held if type(held) is int else held.max())
-                    so_far = get_signature(x)
-                    if so_far is None:
-                        signature[x] = key_rank
-                    elif type(so_far) is int:
-                        signature[x] = array("q", (so_far, key_rank))
-                    else:
-                        so_far.append(key_rank)
+                if aggs:
+                    fresh = split_classes(cls, ((x, held if type(held) is int else held.max())
+                                                for x, held in aggs.items()), fresh)
 
-        # split each P0 block by signature (no signature: no edges); the
-        # largest group keeps the block's id
-        for bid in range(nb):
-            verts = self.members[bid]
-            if len(verts) == 1:
-                continue
-            groups: dict[int | bytes | None, list[int]] = {}
-            for v in verts:
-                key = get_signature(v)
-                if type(key) is array:
-                    key = key.tobytes()
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [v]
-                else:
-                    group.append(v)
-            if len(groups) > 1:
-                stays = max(groups.values(), key=len)
-                self._split_block(bid, [moved for moved in groups.values() if moved is not stays])
+        # split each P0 block by class; the largest group keeps the block's id
+        for bid, block in enumerate(blocks):
+            if len(block) > 1 and len(groups := class_groups(block, cls)) > 1:
+                stays = max(groups, key=len)
+                self._split_block(bid, [moved for moved in groups if moved is not stays])
 
     def _new_qblock(self, label_idx: int, bids: list[int]) -> int:
         qid = len(self.qlabel)

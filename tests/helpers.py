@@ -250,6 +250,26 @@ def initial_partition_by_out_maps(g) -> Partition:
     return Partition(groups.values(), g.n)
 
 
+def initial_blocks_by_columns(g) -> list[list[int]]:
+    """`FuzzyGraph._initial_blocks` by the dense rule: one column of n values
+    per vertex label and per edge label, vertices keyed on the tuple of their
+    column values and grouped in vertex order.  The oracle for the sparse
+    class splits, block order and member order included."""
+    bottom = g.algebra.bottom
+    columns = [[g._labels[name].get(v, bottom) for v in range(g.n)]
+               for name in g.vertex_label_names]
+    for label in g.edge_label_names:
+        sup = [0] * g.n
+        for sources in g.incoming(label):
+            for s, rank in sources:
+                sup[s] = max(sup[s], rank)
+        columns.append(sup)
+    groups: dict[tuple, list[int]] = {}
+    for v, key in enumerate(zip(*columns) if columns else [()] * g.n):
+        groups.setdefault(key, []).append(v)
+    return list(groups.values())
+
+
 def is_stable_by_out_edges(g, p) -> bool:
     """Stability checked vertex by vertex from `out_maps`, comparing the
     sup degree into every (label, block) pair within each block: the oracle

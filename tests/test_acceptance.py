@@ -2,8 +2,8 @@
 
 Each test prints a `criterion N: PASS/FAIL` line so a full run reads as a
 checklist.  Tolerances are zero everywhere except the complexity smoke
-check (criterion 7), whose stated bound is a factor of two around the
-fitted m*log(m) trend.
+checks (criterion 7), whose stated bound is a factor of two around the
+fitted trend (m*log(m) for `compcb`, n for the initial partition).
 """
 
 import gc
@@ -291,6 +291,40 @@ def test_criterion_7_complexity_smoke():
     ok = all(fitted / 2 <= r <= fitted * 2 for r in ratios)
     detail = ", ".join(f"{r / fitted:.2f}x" for r in ratios)
     report(7, ok, f"time per m*log(m) stays within 2x of the fitted trend ({detail})")
+
+
+def _nominal_encoding(n: int) -> FuzzyGraph:
+    """An r cycle of n elements, each named by its own individual, encoded
+    under nominals: n vertex labels of one vertex each."""
+    names = [f"e{k}" for k in range(n)]
+    i = Interpretation(GODEL, names, {f"a{k}": name for k, name in enumerate(names)}, {},
+                       {"r": [(names[k], names[k - 1], "1") for k in range(n)]})
+    return interpretation_to_graph(i, FeatureSet.from_names(["baaz", "nominal"]))
+
+
+def test_criterion_7_initial_partition_is_linear_in_the_names():
+    # a vertex label costs its table, not a column of n: with one individual
+    # per element, dense columns would make the initial partition n^2
+    sizes = [2500, 5000, 10000, 20000]
+    graphs = [_nominal_encoding(n) for n in sizes]
+    best = [math.inf] * len(sizes)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):  # best of three, every size in each round
+            for k, g in enumerate(graphs):
+                start = time.process_time()
+                partition = g.initial_partition()
+                best[k] = min(best[k], time.process_time() - start)
+                assert len(partition) == g.n
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratios = [elapsed / n for elapsed, n in zip(best, sizes)]
+    fitted = sorted(ratios)[len(ratios) // 2]
+    ok = all(fitted / 2 <= r <= fitted * 2 for r in ratios)
+    detail = ", ".join(f"{r / fitted:.2f}x" for r in ratios)
+    report(7, ok, f"initial partition time per n stays within 2x of the fitted trend ({detail})")
 
 
 def _path_graph(n: int) -> FuzzyGraph:

@@ -194,6 +194,20 @@ def test_forall_counts_zero_degree_pairs():
     assert eval_concept(i, ForallConcept(RoleName("r"), ConstantConcept(F(0))), PHI_PSI) == [F(1)]
 
 
+def test_forward_roles_read_predecessor_lists():
+    # some/all over r and r* read r's per-target lists; only r- needs the
+    # per-source lists, which the interpretation builds on first use
+    i = chain_interp(GODEL)
+    full = FeatureSet.from_names(FEATURE_NAMES)
+    for text in ("some r . A", "all r . A", "some r* . A"):
+        node = parse_concept(text, full)
+        assert eval_concept(i, node, full) == dense_concept_values(i, node)
+    assert "_out" not in vars(i)
+    node = parse_concept("some r- . A", full)
+    assert eval_concept(i, node, full) == dense_concept_values(i, node)
+    assert "_out" in vars(i)
+
+
 def test_feature_gate_on_eval():
     i = chain_interp(GODEL)
     bare = FeatureSet.from_names(["baaz"])

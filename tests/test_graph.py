@@ -13,11 +13,14 @@ from fuzzmin import (
     interpretation_to_graph,
     load_graph,
 )
+from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
+from fuzzmin.generate import degree_pool
 from helpers import (
     PHI_I,
     PHI_PSI,
     blocks_by_names,
     collapse_graph,
+    initial_blocks_by_columns,
     initial_partition_by_out_maps,
     label_vector,
     oracle_graphs,
@@ -212,6 +215,35 @@ def test_initial_partition_matches_the_out_map_oracle():
     assert any(g.vertex_label_names for g in graphs)
     for k, g in enumerate(graphs):
         assert g.initial_partition() == initial_partition_by_out_maps(g), f"case {k}"
+
+
+def _one_label_per_vertex(algebra, n: int, label_count: int, seed: int) -> FuzzyGraph:
+    """Each vertex holds one of label_count vertex labels, read in shuffled
+    vertex order so each table is filled out of order, plus random edges."""
+    rng = random.Random(seed)
+    names = [f"v{k}" for k in range(n)]
+    pool = degree_pool(rng, 3, algebra)
+    shuffled = rng.sample(names, n)
+    vertex_labels = {name: {f"L{rng.randrange(label_count)}": rng.choice(pool)}
+                     for name in shuffled}
+    edges = {(rng.choice(names), rng.choice("rs"), rng.choice(names)) for _ in range(n)}
+    return FuzzyGraph(algebra, names, vertex_labels,
+                      [(s, label, t, rng.choice(pool)) for s, label, t in sorted(edges)])
+
+
+def test_initial_blocks_match_the_dense_column_rule():
+    # the same blocks in the same order with members in the same order:
+    # compcb's block ids, and with them the trace, follow both orders
+    backends = [make_algebra("godel"), make_algebra("product"), make_algebra("lukasiewicz"),
+                load_lattice(bundled_lattice_path("godel5"))]
+    graphs = oracle_graphs()
+    for k, algebra in enumerate(backends):
+        for n in (1, 9, 60):
+            graphs += [_one_label_per_vertex(algebra, n, n, 100 * k + n),
+                       _one_label_per_vertex(algebra, n, n // 4 + 1, 100 * k + n + 1)]
+    assert any(len(g.initial_partition()) not in (1, g.n) for g in graphs)
+    for k, g in enumerate(graphs):
+        assert g._initial_blocks() == initial_blocks_by_columns(g), f"case {k}"
 
 
 def test_constructor_keeps_a_vertex_label_that_is_bottom_everywhere():
