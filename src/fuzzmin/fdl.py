@@ -9,7 +9,6 @@ assertions and terminological axioms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -22,6 +21,7 @@ from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
 from .graph import FuzzyGraph, _by_source, _edge_store
 from .partition import Partition, ordered_blocks
+from .record import Record
 from .refine import compcb
 
 FEATURE_NAMES = ("baaz", "comp", "union", "star", "test", "inverse", "universal", "nominal")
@@ -29,8 +29,7 @@ FEATURE_NAMES = ("baaz", "comp", "union", "star", "test", "inverse", "universal"
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(Record):
     """Enabled optional constructors.  The crisping projection (baaz) is
     always available and cannot be switched off."""
 
@@ -64,102 +63,85 @@ class FeatureSet:
 
 # --- concept and role expressions -----------------------------------------
 
-class ConceptNode:
+class ConceptNode(Record):
     __slots__ = ()
 
 
-class RoleNode:
+class RoleNode(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConstantConcept(ConceptNode):
     value: Fraction
 
 
-@dataclass(frozen=True)
 class ConceptName(ConceptNode):
     name: str
 
 
-@dataclass(frozen=True)
 class Nominal(ConceptNode):
     individual: str
 
 
-@dataclass(frozen=True)
 class BaazConcept(ConceptNode):
     child: ConceptNode
 
 
-@dataclass(frozen=True)
 class NotConcept(ConceptNode):
     child: ConceptNode
 
 
-@dataclass(frozen=True)
 class AndConcept(ConceptNode):
     left: ConceptNode
     right: ConceptNode
 
 
-@dataclass(frozen=True)
 class OrConcept(ConceptNode):
     left: ConceptNode
     right: ConceptNode
 
 
-@dataclass(frozen=True)
 class ImpliesConcept(ConceptNode):
     left: ConceptNode
     right: ConceptNode
 
 
-@dataclass(frozen=True)
 class ForallConcept(ConceptNode):
     role: RoleNode
     child: ConceptNode
 
 
-@dataclass(frozen=True)
 class ExistsConcept(ConceptNode):
     role: RoleNode
     child: ConceptNode
 
 
-@dataclass(frozen=True)
 class RoleName(RoleNode):
     name: str
 
 
-@dataclass(frozen=True)
 class InverseRole(RoleNode):
     child: RoleNode
 
 
-@dataclass(frozen=True)
 class ComposeRole(RoleNode):
     left: RoleNode
     right: RoleNode
 
 
-@dataclass(frozen=True)
 class UnionRole(RoleNode):
     left: RoleNode
     right: RoleNode
 
 
-@dataclass(frozen=True)
 class StarRole(RoleNode):
     child: RoleNode
 
 
-@dataclass(frozen=True)
 class TestRole(RoleNode):
     concept: ConceptNode
 
 
-@dataclass(frozen=True)
 class UniversalRole(RoleNode):
     pass
 
@@ -213,8 +195,7 @@ def _chain_operands(node) -> list:
 
 # --- assertions and axioms --------------------------------------------------
 
-@dataclass(frozen=True)
-class ConceptAssertion:
+class ConceptAssertion(Record):
     concept: ConceptNode
     individual: str
     op: str  # one of >=, >, <=, <
@@ -225,8 +206,7 @@ class ConceptAssertion:
             raise UsageError(f"bad comparison {self.op!r}")
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+class RoleAssertion(Record):
     role: RoleNode
     a: str
     b: str
@@ -238,20 +218,17 @@ class RoleAssertion:
             raise UsageError(f"bad comparison {self.op!r}")
 
 
-@dataclass(frozen=True)
-class SameAssertion:
+class SameAssertion(Record):
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class DistinctAssertion:
+class DistinctAssertion(Record):
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class TBoxAxiom:
+class TBoxAxiom(Record):
     """left is subsumed by right, to a degree bounded by `degree`."""
 
     left: ConceptNode
@@ -387,14 +364,20 @@ class Interpretation:
 
     @cached_property
     def _out(self) -> dict:
-        """Per role, the per-source lists, made on first use."""
-        return {rname: _by_source(lists) for rname, lists in self._in.items()}
+        """Per role, the per-source lists, each made by `_adjacency` on its
+        first use."""
+        return {}
 
     def _adjacency(self, rname: str, inverted: bool) -> tuple:
         """Per-element (successor, rank) lists of role rname or its inverse."""
         if rname not in self._in:
             raise UsageError(f"unknown role name {rname!r}")
-        return (self._in if inverted else self._out)[rname]
+        if inverted:
+            return self._in[rname]
+        lists = self._out.get(rname)
+        if lists is None:
+            lists = self._out[rname] = _by_source(self._in[rname])
+        return lists
 
 
 def _element_ids(names: tuple[str, ...]) -> dict[str, int]:
@@ -695,8 +678,7 @@ def _concept_values(i: Interpretation, concept: ConceptNode,
 
 # --- bisimulations -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BisimReport:
+class BisimReport(Record):
     ok: bool
     condition: int | None = None
     witness: tuple[str, ...] | None = None
@@ -848,7 +830,7 @@ def _encoding(i: Interpretation, phi: FeatureSet) -> tuple[dict, dict]:
             if rname + "-" in edges:
                 raise UsageError(f"role name {rname + '-'!r} collides with the inverse label "
                                  f"of {rname!r}")
-            edges[rname + "-"] = i._out[rname]
+            edges[rname + "-"] = i._adjacency(rname, False)
     return labels, edges
 
 
@@ -917,7 +899,8 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         raise UsageError("pruning needs at least one named individual")
     if phi.universal:
         raise UsageError("pruning applies only when the universal role is disabled")
-    adjacency = [*i._out.values(), *(i._in.values() if phi.inverse else ())]
+    adjacency = [i._adjacency(rname, inverted) for rname in i.role_names
+                 for inverted in ((False, True) if phi.inverse else (False,))]
     seen = set(i.individuals.values())
     stack = list(seen)
     while stack:
@@ -1015,7 +998,7 @@ def interpretation_to_json(i: Interpretation) -> dict:
         "roles": {
             rname: [
                 [i.names[x], i.names[y], fmt(i.levels[rank])]
-                for x, successors in enumerate(i._out[rname]) for y, rank in successors
+                for x, successors in enumerate(i._adjacency(rname, False)) for y, rank in successors
             ]
             for rname in i.role_names
         },
@@ -1048,7 +1031,8 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
 
     def role(rname: str) -> Iterator[str]:
         return _json_container(f"{encode_basestring_ascii(rname)}: [", "]", 2, [
-            (x, y, rank) for x, successors in enumerate(i._out[rname]) for y, rank in successors
+            (x, y, rank) for x, successors in enumerate(i._adjacency(rname, False))
+            for y, rank in successors
         ], lambda x, y, rank: f"[\n    {names[x]},\n    {names[y]},\n    {levels[rank]}\n   ]")
 
     return chain(

@@ -8,7 +8,6 @@ and property suites are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Degree, FiniteLatticeAlgebra
@@ -38,10 +37,10 @@ from .fdl import (
     UniversalRole,
 )
 from .graph import FuzzyGraph
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(Record):
     n_min: int = 2
     n_max: int = 20
     edge_factor: int = 4  # target edge count is about edge_factor * n

@@ -10,16 +10,15 @@ share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import UsageError
 from .partition import Partition, class_groups, split_classes
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(Record):
     n: int  # vertices
     m: int  # nonzero edges
     l: int  # distinct edge degrees

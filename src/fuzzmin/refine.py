@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from .errors import UsageError
 from .partition import Partition, class_groups, split_classes
+from .record import Record
 
 if TYPE_CHECKING:
     from .algebra import Degree
@@ -110,8 +110,7 @@ class DegreeAggregate:
         return None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One main-loop iteration of the refinement engine, for --trace output:
     Y' and Y as the split used them, then P and the label's Q-blocks after it."""
 

@@ -208,6 +208,20 @@ def test_forward_roles_read_predecessor_lists():
     assert "_out" in vars(i)
 
 
+def test_inverse_role_builds_per_source_lists_of_its_own_role_only():
+    # 50 roles: `some r0- . A` makes r0's per-source lists and no other's
+    rng = random.Random(5)
+    names = [f"e{k}" for k in range(100)]
+    roles = {f"r{j}": [(x, y, "1") for x, y in {(rng.choice(names), rng.choice(names))
+                                                for _ in range(200)}]
+             for j in range(50)}
+    i = Interpretation(GODEL, names, concepts={"A": {x: "1" for x in names[::3]}}, roles=roles)
+    full = FeatureSet.from_names(FEATURE_NAMES)
+    node = parse_concept("some r0- . A", full)
+    assert eval_concept(i, node, full) == dense_concept_values(i, node)
+    assert list(i._out) == ["r0"]
+
+
 def test_feature_gate_on_eval():
     i = chain_interp(GODEL)
     bare = FeatureSet.from_names(["baaz"])

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 from functools import reduce
 
@@ -245,14 +244,14 @@ def test_features_checked_on_chains_deeper_than_the_recursion_limit():
 
 def same_tree(a, b) -> bool:
     """a == b for expression trees, compared on a stack of pairs: `==` on the
-    node dataclasses recurses once per level."""
+    node records recurses once per level."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if type(x) is not type(y):
             return False
         if isinstance(x, (ConceptNode, RoleNode)):
-            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+            stack.extend((getattr(x, name), getattr(y, name)) for name in x._fields)
         elif x != y:
             return False
     return True
