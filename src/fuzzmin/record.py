@@ -26,6 +26,8 @@ subclass's fields in `__init_subclass__`.
 
 from __future__ import annotations
 
+_set = object.__setattr__  # past `Record.__setattr__`
+
 
 class Record:
     __slots__ = ()
@@ -44,9 +46,10 @@ class Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        # a new dict, not `self.__dict__.update`: on Python 3.11 reading
-        # `__dict__` of a new instance makes each later field read slower
-        object.__setattr__(self, "__dict__", dict(zip(fields, args)))
+        # one attribute at a time, as a dataclass does: a new dict, or any
+        # read of `self.__dict__`, would make each later field read slower
+        for name, value in zip(fields, args):
+            _set(self, name, value)
         if self.__post_init__ is not None:
             self.__post_init__()
 
@@ -74,14 +77,17 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
