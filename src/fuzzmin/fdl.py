@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import FeatureError, UsageError
-from .graph import FuzzyGraph, _by_source, _edge_store
+from .graph import FuzzyGraph, _Triples, _by_source, _edge_store, _ids, _object_of, _read_edges
 from .partition import Partition, ordered_blocks
 from .record import Record
 from .refine import compcb
@@ -248,7 +248,7 @@ class Interpretation:
 
     Concept assignments default to bottom for unlisted elements.  Role
     instances, of positive degrees, are held once: `levels` and per-target
-    lists (`graph._edge_store`), and per-source lists (`_out`).  Immutable.
+    lists (`graph._edge_store`, from triples), and per-source lists (`_out`).  Immutable.
 
     The constructor takes names and degree text and validates both; it is
     the boundary for JSON documents and generators.  Each distinct degree
@@ -266,7 +266,7 @@ class Interpretation:
         if not domain:
             raise UsageError("interpretation domain must be non-empty")
         names = tuple(domain)
-        self._id = _element_ids(names)
+        self._id = _ids(names, "element")
         element_id = self.element_id
         parse = degree_parser(algebra)
 
@@ -282,24 +282,8 @@ class Interpretation:
                     table[v] = degree
             concept_tables[cname] = table
 
-        role_tables: dict[str, dict[tuple[int, int], Degree]] = {}
-        for rname, instances in (roles or {}).items():
-            table2: dict[tuple[int, int], Degree] = {}
-            for entry in instances:
-                if len(entry) != 3:
-                    raise UsageError(f"role instance {entry!r} must be [from, to, degree]")
-                src, tgt, degree = entry
-                degree = parse(degree)
-                if not degree:
-                    raise UsageError(
-                        f"role instance {rname}({src},{tgt}) has degree 0; omit zero instances"
-                    )
-                key = (element_id(src), element_id(tgt))
-                if key in table2:
-                    raise UsageError(f"duplicate role instance {rname}({src},{tgt})")
-                table2[key] = degree
-            role_tables[rname] = table2
-        self._build(algebra, names, individual_ids, concept_tables, role_tables)
+        self._build(algebra, names, individual_ids, concept_tables, *_read_edges(
+            parse, self._id, (roles or {}).items(), "role instance {1}({0},{2})"))
 
     @classmethod
     def _from_ids(
@@ -308,19 +292,20 @@ class Interpretation:
         names: tuple[str, ...],
         individuals: dict[str, int],
         concepts: dict[str, dict[int, Degree]],
-        roles: dict[str, dict[tuple[int, int], Degree]],
+        roles: _Triples,
+        degrees: Sequence[Degree],
     ) -> "Interpretation":
-        """An interpretation from element ids and degrees that are already
-        checked: concept tables hold no bottom degrees, role tables no zero
-        degrees.  Element names are still checked for duplicates."""
+        """An interpretation from element ids and checked degrees: concept
+        tables without bottom degrees, per role the (source, target, k)
+        triples of `graph._edge_store`.  Names are checked for duplicates."""
         i = cls.__new__(cls)
-        i._id = _element_ids(names)
-        i._build(algebra, names, individuals, concepts, roles)
+        i._id = _ids(names, "element")
+        i._build(algebra, names, individuals, concepts, roles, degrees)
         return i
 
     def _build(self, algebra: Algebra, names: tuple[str, ...], individuals: dict[str, int],
-               concepts: dict[str, dict[int, Degree]],
-               roles: dict[str, dict[tuple[int, int], Degree]]) -> None:
+               concepts: dict[str, dict[int, Degree]], roles: _Triples,
+               degrees: Sequence[Degree]) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
@@ -329,16 +314,14 @@ class Interpretation:
         self._concepts: dict[str, dict[int, Degree]] = concepts
         self.concept_names: tuple[str, ...] = tuple(sorted(concepts))
         self.role_names: tuple[str, ...] = tuple(sorted(roles))
-        self._in, self.levels = _edge_store(algebra, self.n, roles)
+        self._in, self.levels = _edge_store(algebra, self.n, roles, degrees)
 
-        vocab = [("concept", n) for n in self.concept_names]
-        vocab += [("role", n) for n in self.role_names]
-        vocab += [("individual", n) for n in self.individual_names]
-        by_name: dict[str, str] = {}
-        for kind, name in vocab:
-            if name in by_name:
-                raise UsageError(f"name {name!r} used both as {by_name[name]} and {kind}")
-            by_name[name] = kind
+        kind_of: dict[str, str] = {}
+        for kind, group in (("concept", self.concept_names), ("role", self.role_names),
+                            ("individual", self.individual_names)):
+            for name in group:
+                if kind_of.setdefault(name, kind) != kind:
+                    raise UsageError(f"name {name!r} used both as {kind_of[name]} and {kind}")
 
     def element_id(self, name: str) -> int:
         try:
@@ -378,13 +361,6 @@ class Interpretation:
         if lists is None:
             lists = self._out[rname] = _by_source(self._in[rname])
         return lists
-
-
-def _element_ids(names: tuple[str, ...]) -> dict[str, int]:
-    ids = {name: x for x, name in enumerate(names)}
-    if len(ids) != len(names):
-        raise UsageError("duplicate element names in domain")
-    return ids
 
 
 def _check_signatures(i1: Interpretation, i2: Interpretation) -> None:
@@ -784,15 +760,15 @@ def largest_bisimulation(
         label: {**labels.get(label, {}), **{x + n1: d for x, d in labels2.get(label, {}).items()}}
         for label in labels.keys() | labels2.keys()
     }
-    tables = {  # the signatures match, so both sides have the same edge labels
-        label: {(s + shift, t + shift): side.levels[rank]
-                for side, shift, store in ((i1, 0, lists), (i2, n1, edges2[label]))
-                for t, sources in enumerate(store) for s, rank in sources}
+    triples = {  # the signatures match, so both sides have the same edge labels
+        label: [(s + shift, t + shift, rank + offset)  # i2's ranks shifted past i1.levels
+                for shift, offset, store in ((0, 0, lists), (n1, len(i1.levels), edges2[label]))
+                for t, sources in enumerate(store) for s, rank in sources]
         for label, lists in edges.items()
     }
     # element names may repeat across the sides; the engine reads only ids
     union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, labels,
-                                 *_edge_store(i1.algebra, n1 + i2.n, tables))
+                                 *_edge_store(i1.algebra, n1 + i2.n, triples, i1.levels + i2.levels))
     pairs: set[tuple[int, int]] = set()
     for block in compcb(union).blocks:
         left = [x for x in block if x < n1]
@@ -858,7 +834,7 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
 
     concepts = {cname: {block_of[x]: d for x, d in table.items() if firsts[block_of[x]] == x}
                 for cname, table in i._concepts.items()}
-    roles: dict[str, dict[tuple[int, int], Degree]] = {}
+    roles: _Triples = {}
     for rname in i.role_names:
         sups: dict[tuple[int, int], int] = {}
         for by, sources in zip(block_of, i._in[rname]):
@@ -866,11 +842,11 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
                 key = (block_of[x], by)
                 if rank > sups.get(key, 0):
                     sups[key] = rank
-        roles[rname] = {key: i.levels[rank] for key, rank in sups.items()}
+        roles[rname] = [(bx, by, rank) for (bx, by), rank in sups.items()]
 
     return Interpretation._from_ids(
         i.algebra, tuple(block_name(map(name_of, ids)) for ids in member_ids),
-        {a: block_of[x] for a, x in i.individuals.items()}, concepts, roles)
+        {a: block_of[x] for a, x in i.individuals.items()}, concepts, roles, i.levels)
 
 
 def minimize(i: Interpretation, phi: FeatureSet) -> Interpretation:
@@ -917,13 +893,13 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         cname: {new_id[x]: degree for x, degree in i._concepts[cname].items() if x in new_id}
         for cname in i.concept_names
     }
-    roles = {rname: {(new_id[x], new_id[y]): i.levels[rank]
+    roles = {rname: [(new_id[x], new_id[y], rank)
                      for y, sources in enumerate(i._in[rname]) if y in new_id
-                     for x, rank in sources if x in new_id}
+                     for x, rank in sources if x in new_id]
              for rname in i.role_names}
     individuals = {a: new_id[x] for a, x in i.individuals.items()}
     return Interpretation._from_ids(
-        i.algebra, tuple(i.names[x] for x in keep), individuals, concepts, roles
+        i.algebra, tuple(i.names[x] for x in keep), individuals, concepts, roles, i.levels
     )
 
 
@@ -970,17 +946,9 @@ def interpretation_from_json(doc, algebra: Algebra) -> Interpretation:
         raise UsageError('"individuals" must be an object of element names')
     if not _object_of(concepts, dict):
         raise UsageError('"concepts" must be an object of {element: degree} objects')
-    if not _object_of(roles, list) or not all(
-        isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and isinstance(e[1], str)
-        for entries in roles.values()
-        for e in entries
-    ):
+    if not _object_of(roles, list):
         raise UsageError('"roles" must be an object of lists of [from, to, degree] lists')
     return Interpretation(algebra, domain, individuals, concepts, roles)
-
-
-def _object_of(value, kind: type) -> bool:
-    return isinstance(value, dict) and all(isinstance(v, kind) for v in value.values())
 
 
 def interpretation_to_json(i: Interpretation) -> dict:

@@ -4,13 +4,13 @@ A graph has dense vertex ids, fuzzy vertex labels and sparse labeled edges
 holding strictly positive degrees.  Graphs are immutable after construction
 and all degrees belong to one shared algebra.  Both are stored per label:
 a vertex label as one {vertex: degree} table (absent = bottom), an edge
-label as per-target incoming lists from `_edge_store`, which interpretations
-share.
+label as per-target incoming lists, which `_edge_store` builds from
+(source, target, k) triples for graphs and interpretations alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Algebra, Degree, degree_parser, read_json
 from .errors import UsageError
@@ -25,29 +25,76 @@ class GraphStats(Record):
 
 
 _EdgeLists = tuple[tuple[tuple[int, int], ...], ...]  # per vertex, (vertex, rank) pairs
+_Triples = dict[str, list[tuple[int, int, int]]]  # per label, (source, target, k) triples
 
 
-def _edge_store(algebra: Algebra, n: int, tables: Mapping[str, Mapping[tuple[int, int], Degree]]
+def _edge_store(algebra: Algebra, n: int, triples: _Triples, degrees: Sequence[Degree]
                 ) -> tuple[dict[str, _EdgeLists], tuple[Degree, ...]]:
-    """The edge store of per-label {(source, target): degree} tables over n
-    vertices: per label, the per-target (source, rank) lists in the table's
-    order, and `levels`, bottom and then the distinct degrees ascending,
-    which the ranks index.  Degrees are ranked by object id, hashing each
-    distinct degree object once (a parsed document holds one object per
-    distinct text)."""
-    objects = {id(d): d for table in tables.values() for d in table.values()}
+    """The edge store of per-label (source, target, k) triples over n
+    vertices, degree `degrees[k]`: per label, per-target (source, rank)
+    lists in the triples' order, and `levels`, bottom and then the distinct
+    degrees in use ascending (each object hashed once), which ranks index."""
+    objects: dict[int, list[int]] = {}  # per degree object in use, its ks
+    for k in {k for found in triples.values() for _, _, k in found}:
+        objects.setdefault(id(degrees[k]), []).append(k)
     by_value: dict[Degree, list[int]] = {}
-    for key, degree in objects.items():
-        by_value.setdefault(degree, []).append(key)
+    for ks in objects.values():
+        by_value.setdefault(degrees[ks[0]], []).extend(ks)
     ascending = sorted(by_value)
-    rank_of = {key: rank for rank, d in enumerate(ascending, 1) for key in by_value[d]}
+    rank_of = {k: rank for rank, d in enumerate(ascending, 1) for k in by_value[d]}
     incoming: dict[str, _EdgeLists] = {}
-    for label, table in tables.items():
+    for label, found in triples.items():
         lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (s, t), degree in table.items():
-            lists[t].append((s, rank_of[id(degree)]))
+        for s, t, k in found:
+            lists[t].append((s, rank_of[k]))
         incoming[label] = tuple(map(tuple, lists))
     return incoming, (algebra.bottom, *ascending)
+
+
+def _read_edges(parse: Callable[[object], Degree], ids: Mapping[str, int],
+                groups: Iterable[tuple[str, Iterable]], name: str) -> tuple[_Triples, list[Degree]]:
+    """Per label, [source, target, degree] entries, read in one pass into
+    `_edge_store`'s triples and the degrees k indexes (one parse per text).
+    Checks each entry's shape, names, degree (not bottom) and pair (new under
+    its label); `name.format(source, label, target)` names it in errors."""
+    n, degrees, ks = len(ids), [], {}  # ks: degree text -> its k
+    triples: _Triples = {}
+    for label, entries in groups:
+        seen: set[int] = set()
+        found = triples[label] = []
+        for entry in entries:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
+            src, tgt, text = entry
+            k = ks.get(text) if type(text) is str else None
+            if k is None:
+                k, degree = len(degrees), parse(text)
+                if not degree:  # bottom is falsy (see `Algebra`)
+                    raise UsageError(f"{name.format(src, label, tgt)} has degree 0; omit it")
+                degrees.append(degree)
+                if type(text) is str:
+                    ks[text] = k
+            try:
+                s, t = ids[src], ids[tgt]
+            except KeyError as unknown:
+                raise UsageError(f"unknown name {unknown} in {name.format(src, label, tgt)}") from None
+            if s * n + t in seen:
+                raise UsageError(f"duplicate {name.format(src, label, tgt)}")
+            seen.add(s * n + t)
+            found.append((s, t, k))
+    return triples, degrees
+
+
+def _ids(names: tuple[str, ...], kind: str) -> dict[str, int]:
+    ids = {name: x for x, name in enumerate(names)}
+    if len(ids) != len(names):
+        raise UsageError(f"duplicate {kind} names")
+    return ids
+
+
+def _object_of(value, kind: type) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, kind) for v in value.values())
 
 
 def _by_source(incoming: _EdgeLists) -> _EdgeLists:
@@ -64,14 +111,11 @@ class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
     Each vertex label is one {vertex: degree} table without bottom degrees,
-    kept as given; `initial_partition` splits classes by each table.
-    Edge degrees are interned once: `levels` holds bottom at index 0 and the
-    distinct edge degrees in ascending order after it.  The edges are stored
-    once, per label and target, as (source, rank) lists with ranks into
-    `levels` (`incoming`); the engine and `initial_partition` read them as
-    they are.  Since the engine only compares degrees, ranks stand in for
-    them; degrees come back only through `edges`, which reads the store on
-    demand.
+    kept as given; `initial_partition` splits classes by each table.  The
+    edges are stored once, per label and target, as (source, rank) lists
+    with ranks into `levels`, bottom and then the distinct edge degrees
+    ascending (`incoming`).  The engine only compares degrees, so it reads
+    ranks; degrees come back only through `edges`.
 
     The constructor takes names and degree text and validates both, and
     rejects duplicate edges; it is the boundary for JSON documents and
@@ -86,9 +130,7 @@ class FuzzyGraph:
         edges: Iterable[tuple[str, str, str, Degree]] = (),
     ):
         names = tuple(vertices)
-        if len(set(names)) != len(names):
-            raise UsageError("duplicate vertex names")
-        self._id: dict[str, int] = {name: i for i, name in enumerate(names)}
+        self._id = _ids(names, "vertex")
 
         parse = degree_parser(algebra)
         labels: dict[str, dict[int, Degree]] = {}
@@ -100,19 +142,14 @@ class FuzzyGraph:
                 if degree:  # bottom is falsy (see `Algebra`)
                     table[v] = degree
 
-        tables: dict[str, dict[tuple[int, int], Degree]] = {}
-        for sname, label, tname, degree in edges:
-            s, t = self.vertex_id(sname), self.vertex_id(tname)
-            table = tables.setdefault(label, {})
-            if (s, t) in table:
-                raise UsageError(f"duplicate edge ({sname},{label},{tname})")
-            degree = parse(degree)
-            if not degree:
-                raise UsageError(
-                    f"edge ({sname},{label},{tname}) has degree 0; zero edges must be omitted"
-                )
-            table[s, t] = degree
-        self._build(algebra, names, labels, *_edge_store(algebra, len(names), tables))
+        groups: dict[str, list[tuple[str, str, Degree]]] = {}
+        for entry in edges:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 4 and isinstance(entry[0], str)
+                    and isinstance(entry[1], str) and isinstance(entry[2], str)):
+                raise UsageError(f"edge {entry!r} must be [from, label, to, degree]")
+            groups.setdefault(entry[1], []).append((entry[0], entry[2], entry[3]))
+        self._build(algebra, names, labels, *_edge_store(algebra, len(names), *_read_edges(
+            parse, self._id, groups.items(), "edge ({0},{1},{2})")))
 
     @classmethod
     def _from_ids(cls, algebra: Algebra, names: tuple[str, ...],
@@ -210,16 +247,10 @@ def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:
     vertex_labels = doc.get("vertex_labels", {})
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise UsageError('"vertices" must be a list of vertex names')
-    if not isinstance(vertex_labels, dict) or not all(
-        isinstance(assignment, dict) for assignment in vertex_labels.values()
-    ):
+    if not _object_of(vertex_labels, dict):
         raise UsageError('"vertex_labels" must be an object of {label: degree} objects')
     if not isinstance(edges, list):
         raise UsageError('"edges" must be a list of [from, label, to, degree] lists')
-    for entry in edges:
-        if not (isinstance(entry, list) and len(entry) == 4
-                and all(isinstance(part, str) for part in entry[:3])):
-            raise UsageError(f"edge entry {entry!r} must be [from, label, to, degree]")
     return FuzzyGraph(algebra, vertices, vertex_labels, edges)
 
 

@@ -516,6 +516,16 @@ def test_concept_degree_for_unknown_element_exits_2(degree, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_unknown_concept_element_is_reported_before_a_malformed_role_entry(tmp_path, capsys):
+    # the reader checks concepts, then each role instance in one pass, so the
+    # concept's fault comes first
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps({"domain": ["u"], "concepts": {"A": {"ghost": "0.5"}},
+                                "roles": {"r": [["u", "u"]]}}))
+    assert main(["minimize", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown element or individual 'ghost'\n"
+
+
 def test_partition_rejects_a_repeated_edge(tmp_path, capsys):
     doc = {"vertices": ["u", "v"],
            "edges": [["u", "r", "v", "0.5"], ["v", "r", "u", "0.5"], ["u", "r", "v", "0.7"]]}

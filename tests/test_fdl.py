@@ -884,6 +884,15 @@ def _random_partition(rng, n):
     return Partition(blocks, n)
 
 
+def _assert_same_interpretation(built, oracle, phi):
+    """An id-built interpretation against its by-names oracle: the same
+    document, and the same compact `levels` (only the degrees its roles
+    use) and graph statistics, which the document alone does not show."""
+    assert interpretation_to_json(built) == interpretation_to_json(oracle)
+    assert built.levels == oracle.levels
+    assert interpretation_to_graph(built, phi).stats() == interpretation_to_graph(oracle, phi).stats()
+
+
 def test_quotient_from_ids_matches_name_built_quotient():
     full = FeatureSet.from_names(FEATURE_NAMES)
     params = GeneratorParams(n_min=2, n_max=14, edge_factor=3, pool_size=5, individual_count=2)
@@ -894,15 +903,11 @@ def test_quotient_from_ids_matches_name_built_quotient():
             for phi in (full, PHI_PSI):
                 g = interpretation_to_graph(i, phi)
                 p = compcb(g)
-                assert interpretation_to_json(quotient(i, p)) == interpretation_to_json(
-                    quotient_by_names(i, p)
-                )
+                _assert_same_interpretation(quotient(i, p), quotient_by_names(i, p), phi)
             # any partition, stable or not: the first member in name order
             # gives the concept degrees, the sup over members the role degrees
             p = _random_partition(rng, i.n)
-            assert interpretation_to_json(quotient(i, p)) == interpretation_to_json(
-                quotient_by_names(i, p)
-            )
+            _assert_same_interpretation(quotient(i, p), quotient_by_names(i, p), full)
 
 
 def test_quotient_rejects_colliding_block_names():
@@ -919,5 +924,4 @@ def test_prune_from_ids_matches_name_built_prune():
         for seed in range(12):
             i = random_interpretation(params, 50 * k + seed, alg)
             for phi in (FULL_MINUS_UNIVERSAL, PHI_PRUNE):
-                kept = prune_unreachable(i, phi)
-                assert interpretation_to_json(kept) == interpretation_to_json(prune_by_names(i, phi))
+                _assert_same_interpretation(prune_unreachable(i, phi), prune_by_names(i, phi), phi)

@@ -77,6 +77,18 @@ def test_levels_and_ranked_incoming():
     assert out_maps(g)[u]["r"] == {v: F("0.7"), w: F("0.9")}
     assert g.edges[0] == (u, "r", v, F("0.7"))
     assert FuzzyGraph(GODEL, ["x"]).levels == (F(0),)
+    # "1/2", "0.5" and "2/4" over two roles or labels: one level, one rank
+    i = Interpretation(GODEL, ["a", "b", "c"], roles={
+        "r": [("a", "b", "1/2"), ("b", "c", "0.5"), ("c", "a", "1")],
+        "s": [("a", "c", "2/4"), ("c", "c", "0.5")]})
+    doc = graph_from_json({"vertices": ["a", "b", "c"], "edges": [
+        ["a", "r", "b", "1/2"], ["b", "r", "c", "0.5"], ["c", "r", "a", "1"],
+        ["a", "s", "c", "2/4"], ["c", "s", "c", "0.5"]]}, GODEL)
+    for store in (interpretation_to_graph(i, PHI_PSI), doc):
+        assert store.levels == (F(0), F(1, 2), F(1))
+        ranks = {label: [rank for sources in store.incoming(label) for _, rank in sources]
+                 for label in ("r", "s")}
+        assert sorted(ranks["r"]) == [1, 1, 2] and ranks["s"] == [1, 1]
 
 
 def stored_edges(g):

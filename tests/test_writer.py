@@ -77,7 +77,7 @@ def test_writer_formats_equal_degrees_held_as_distinct_objects():
     i = Interpretation._from_ids(
         GODEL, ("u", "v", "w"), {},
         {"A": {0: halves[0], 1: halves[1], 2: F(1, 3)}, "B": {2: halves[2]}},
-        {"r": {(0, 1): halves[1], (1, 2): halves[2], (2, 0): F(1)}},
+        {"r": [(0, 1, 1), (1, 2, 2), (2, 0, 3)]}, (*halves, F(1)),
     )
     assert _written(i) == _oracle(i)
     parsed = Interpretation(GODEL, ["u", "v"], concepts={"A": {"u": "1/2", "v": "0.5"}},
