@@ -79,30 +79,6 @@ def read_json(path: str):
             raise UsageError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def degree_parser(algebra: Algebra) -> Callable[[object], Degree]:
-    """`algebra.parse_degree` for one document, parsing each distinct degree
-    text once: equal texts give one shared degree object.
-
-    Only `str` texts are memoised.  Other values (ints, Fractions, and the
-    floats and booleans `parse_degree` rejects) go to `parse_degree` every
-    time, since a memo keyed on values would hand `1.0` the degree cached
-    for the equal `1`.  A text that fails to parse is not memoised, so it
-    raises again at every occurrence.
-    """
-    parse = algebra.parse_degree
-    memo: dict[str, Degree] = {}
-
-    def parse_once(value) -> Degree:
-        if type(value) is not str:
-            return parse(value)
-        degree = memo.get(value)
-        if degree is None:
-            degree = memo[value] = parse(value)
-        return degree
-
-    return parse_once
-
-
 def _reject_float(value) -> None:
     """Reject floats and booleans: neither is an exact degree, though Python
     takes `True` for the int 1."""

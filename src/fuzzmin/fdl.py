@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Algebra, Degree, degree_parser, read_json
+from .algebra import Algebra, Degree, read_json
 from .errors import FeatureError, UsageError
-from .graph import FuzzyGraph, _Triples, _by_source, _edge_store, _ids, _object_of, _read_edges
+from .graph import FuzzyGraph, _Reader, _Tables, _Triples, _by_source, _ids, _object_of, _ranked_store
 from .partition import Partition, ordered_blocks
 from .record import Record
 from .refine import compcb
@@ -50,7 +49,7 @@ class FeatureSet(Record):
         if "baaz" not in names:
             raise UsageError('feature list must include "baaz"')
         chosen = set(names)
-        return cls(**{name: name in chosen for name in FEATURE_NAMES if name != "baaz"})
+        return cls(*[name in chosen for name in FEATURE_NAMES if name != "baaz"])  # the field order
 
     def names(self) -> list[str]:
         enabled = ["baaz"]
@@ -246,13 +245,17 @@ class TBoxAxiom(Record):
 class Interpretation:
     """A finite fuzzy interpretation over a shared algebra.
 
-    Concept assignments default to bottom for unlisted elements.  Role
-    instances, of positive degrees, are held once: `levels` and per-target
-    lists (`graph._edge_store`, from triples), and per-source lists (`_out`).  Immutable.
+    Every degree is a rank into `levels`: bottom, then the distinct concept
+    and role degrees ascending, then top if no concept or role has it.
+    Concept assignments are {element: rank} tables, bottom left out and
+    read as bottom.  Role instances, of positive degrees, are held once:
+    per-target lists (`graph._ranked_store` builds both kinds from `k`s) and
+    per-source lists (`_out`).  Immutable.
 
     The constructor takes names and degree text and validates both; it is
-    the boundary for JSON documents and generators.  Each distinct degree
-    text is parsed once per interpretation.
+    the boundary for JSON documents and generators.  It reads every degree
+    through one `graph._Reader`, so each distinct degree text is parsed
+    once per interpretation.
     """
 
     def __init__(
@@ -268,22 +271,14 @@ class Interpretation:
         names = tuple(domain)
         self._id = _ids(names, "element")
         element_id = self.element_id
-        parse = degree_parser(algebra)
-
         individual_ids = {a: element_id(elem) for a, elem in (individuals or {}).items()}
-
-        concept_tables: dict[str, dict[int, Degree]] = {}
-        for cname, assignment in (concepts or {}).items():
-            table: dict[int, Degree] = {}
-            for elem, degree in assignment.items():
-                v = element_id(elem)  # every name, also one with a bottom degree
-                degree = parse(degree)
-                if degree:  # bottom is falsy (see `Algebra`)
-                    table[v] = degree
-            concept_tables[cname] = table
-
-        self._build(algebra, names, individual_ids, concept_tables, *_read_edges(
-            parse, self._id, (roles or {}).items(), "role instance {1}({0},{2})"))
+        reader = _Reader(algebra)
+        concepts = concepts or {}
+        tables = reader.tables(((cname, element_id(elem), degree)
+                                for cname, assignment in concepts.items()
+                                for elem, degree in assignment.items()), concepts)
+        triples = reader.triples(self._id, (roles or {}).items(), "role instance {1}({0},{2})")
+        self._build(algebra, names, individual_ids, tables, triples, reader.degrees)
 
     @classmethod
     def _from_ids(
@@ -291,30 +286,31 @@ class Interpretation:
         algebra: Algebra,
         names: tuple[str, ...],
         individuals: dict[str, int],
-        concepts: dict[str, dict[int, Degree]],
+        concepts: _Tables,
         roles: _Triples,
         degrees: Sequence[Degree],
     ) -> "Interpretation":
-        """An interpretation from element ids and checked degrees: concept
-        tables without bottom degrees, per role the (source, target, k)
-        triples of `graph._edge_store`.  Names are checked for duplicates."""
+        """An interpretation from element ids and checked degrees: per
+        concept an {x: k} table without bottom, per role the (source,
+        target, k) triples, `k` indexing `degrees` (`graph._ranked_store`).
+        Names are checked for duplicates."""
         i = cls.__new__(cls)
         i._id = _ids(names, "element")
         i._build(algebra, names, individuals, concepts, roles, degrees)
         return i
 
     def _build(self, algebra: Algebra, names: tuple[str, ...], individuals: dict[str, int],
-               concepts: dict[str, dict[int, Degree]], roles: _Triples,
-               degrees: Sequence[Degree]) -> None:
+               concepts: _Tables, roles: _Triples, degrees: Sequence[Degree]) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
         self.individuals: dict[str, int] = individuals
         self.individual_names: tuple[str, ...] = tuple(sorted(individuals))
-        self._concepts: dict[str, dict[int, Degree]] = concepts
         self.concept_names: tuple[str, ...] = tuple(sorted(concepts))
         self.role_names: tuple[str, ...] = tuple(sorted(roles))
-        self._in, self.levels = _edge_store(algebra, self.n, roles, degrees)
+        self._concepts, self._in, self.levels, self._l = _ranked_store(
+            algebra, self.n, concepts, roles, degrees)
+        self._out: dict[str, tuple] = {}  # per role, its per-source lists, made on first use
 
         kind_of: dict[str, str] = {}
         for kind, group in (("concept", self.concept_names), ("role", self.role_names),
@@ -338,18 +334,12 @@ class Interpretation:
     def concept_degree(self, cname: str, x: int) -> Degree:
         if cname not in self._concepts:
             raise UsageError(f"unknown concept name {cname!r}")
-        return self._concepts[cname].get(x, self.algebra.bottom)
+        return self.levels[self._concepts[cname].get(x, 0)]
 
     def role_instances(self, rname: str) -> Mapping[tuple[int, int], Degree]:
         """A read-only {(x, y): degree} copy of role rname, by target."""
         return MappingProxyType({(s, t): self.levels[rank] for t, sources in
                                  enumerate(self._adjacency(rname, True)) for s, rank in sources})
-
-    @cached_property
-    def _out(self) -> dict:
-        """Per role, the per-source lists, each made by `_adjacency` on its
-        first use."""
-        return {}
 
     def _adjacency(self, rname: str, inverted: bool) -> tuple:
         """Per-element (successor, rank) lists of role rname or its inverse."""
@@ -753,22 +743,21 @@ def largest_bisimulation(
         p = compcb(interpretation_to_graph(i1, phi))
         return {(x, y) for block in p.blocks for x in block for y in block}
 
-    labels, edges = _encoding(i1, phi)
-    labels2, edges2 = _encoding(i2, phi)
+    # both sides' encodings, i2's ids shifted past i1's and its ranks past
+    # i1.levels; a concept may be non-bottom on one side only
     n1 = i1.n
-    labels = {  # a concept may be non-bottom on one side only
-        label: {**labels.get(label, {}), **{x + n1: d for x, d in labels2.get(label, {}).items()}}
-        for label in labels.keys() | labels2.keys()
-    }
-    triples = {  # the signatures match, so both sides have the same edge labels
-        label: [(s + shift, t + shift, rank + offset)  # i2's ranks shifted past i1.levels
-                for shift, offset, store in ((0, 0, lists), (n1, len(i1.levels), edges2[label]))
-                for t, sources in enumerate(store) for s, rank in sources]
-        for label, lists in edges.items()
-    }
+    tables: _Tables = {}
+    triples: _Triples = {}
+    for shift, k0, (labels, edges) in ((0, 0, _encoding(i1, phi)),
+                                       (n1, len(i1.levels), _encoding(i2, phi))):
+        for label, table in labels.items():
+            tables.setdefault(label, {}).update({x + shift: rank + k0 for x, rank in table.items()})
+        for label, lists in edges.items():
+            triples.setdefault(label, []).extend(
+                (s + shift, t + shift, rank + k0) for t, sources in enumerate(lists) for s, rank in sources)
     # element names may repeat across the sides; the engine reads only ids
-    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, labels,
-                                 *_edge_store(i1.algebra, n1 + i2.n, triples, i1.levels + i2.levels))
+    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, *_ranked_store(
+        i1.algebra, n1 + i2.n, tables, triples, i1.levels + i2.levels))
     pairs: set[tuple[int, int]] = set()
     for block in compcb(union).blocks:
         left = [x for x in block if x < n1]
@@ -789,16 +778,18 @@ def interpretation_to_graph(i: Interpretation, phi: FeatureSet) -> FuzzyGraph:
     (plus, with inverses enabled, `r-`).  The graph reads i's own store:
     `r` is r's per-target lists, `r-` its per-source lists.
     """
-    return FuzzyGraph._from_ids(i.algebra, i.names, *_encoding(i, phi), i.levels)
+    return FuzzyGraph._from_ids(i.algebra, i.names, *_encoding(i, phi), i.levels, i._l)
 
 
-def _encoding(i: Interpretation, phi: FeatureSet) -> tuple[dict, dict]:
-    """Per-label vertex tables and edge lists of i's graph encoding, read
-    from i, plus one {x: top} table per individual under nominals."""
-    labels: dict[str, Mapping[int, Degree]] = {c: t for c, t in i._concepts.items() if t}
+def _encoding(i: Interpretation, phi: FeatureSet) -> tuple[_Tables, dict]:
+    """Per-label vertex rank tables and edge lists of i's graph encoding,
+    read from i, plus one {x: top's rank} table per individual under
+    nominals."""
+    labels = {c: t for c, t in i._concepts.items() if t}
     if phi.nominal:  # names are unique across concepts and individuals
+        top = len(i.levels) - 1
         for a, x in i.individuals.items():
-            labels[a] = {x: i.algebra.top}
+            labels[a] = {x: top}
 
     edges = dict(i._in)
     if phi.inverse:
@@ -832,7 +823,7 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
             block_of[x] = bi
     firsts = [ids[0] for ids in member_ids]
 
-    concepts = {cname: {block_of[x]: d for x, d in table.items() if firsts[block_of[x]] == x}
+    concepts = {cname: {block_of[x]: rank for x, rank in table.items() if firsts[block_of[x]] == x}
                 for cname, table in i._concepts.items()}
     roles: _Triples = {}
     for rname in i.role_names:
@@ -890,7 +881,7 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
     keep = [x for x in range(i.n) if x in seen]
     new_id = {x: k for k, x in enumerate(keep)}
     concepts = {
-        cname: {new_id[x]: degree for x, degree in i._concepts[cname].items() if x in new_id}
+        cname: {new_id[x]: rank for x, rank in i._concepts[cname].items() if x in new_id}
         for cname in i.concept_names
     }
     roles = {rname: [(new_id[x], new_id[y], rank)
@@ -952,20 +943,20 @@ def interpretation_from_json(doc, algebra: Algebra) -> Interpretation:
 
 
 def interpretation_to_json(i: Interpretation) -> dict:
-    fmt = i.algebra.format_degree
+    texts = [i.algebra.format_degree(degree) for degree in i.levels]
     return {
         "domain": list(i.names),
         "individuals": {a: i.names[x] for a, x in sorted(i.individuals.items())},
         "concepts": {
             cname: {
-                i.names[x]: fmt(degree)
-                for x, degree in sorted(i._concepts[cname].items())
+                i.names[x]: texts[rank]
+                for x, rank in sorted(i._concepts[cname].items())
             }
             for cname in i.concept_names
         },
         "roles": {
             rname: [
-                [i.names[x], i.names[y], fmt(i.levels[rank])]
+                [i.names[x], i.names[y], texts[rank]]
                 for x, successors in enumerate(i._adjacency(rname, False)) for y, rank in successors
             ]
             for rname in i.role_names
@@ -978,24 +969,14 @@ def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
     indent=1) + "\n"`, byte for byte, about one per element, concept value
     and role instance, so a writer can stream them.  Each element name is
     encoded once, with the `encode_basestring_ascii` that `json.dumps` uses,
-    and each degree object or level once.  Unlike `json.dumps` with
-    `indent`, it makes no reference cycles."""
+    and each level once.  Unlike `json.dumps` with `indent`, it makes no
+    reference cycles."""
     names = [encode_basestring_ascii(name) for name in i.names]
-    fmt = i.algebra.format_degree
-    # by object id: `Fraction.__hash__` is slow, and i keeps every degree alive
-    texts: dict[int, str] = {}
-
-    def degree_text(degree: Degree) -> str:
-        text = texts.get(id(degree))
-        if text is None:
-            text = texts[id(degree)] = encode_basestring_ascii(fmt(degree))
-        return text
+    levels = [encode_basestring_ascii(i.algebra.format_degree(degree)) for degree in i.levels]
 
     def concept(cname: str) -> Iterator[str]:
         return _json_container(f"{encode_basestring_ascii(cname)}: {{", "}", 2, sorted(
-            i._concepts[cname].items()), lambda x, degree: f"{names[x]}: {degree_text(degree)}")
-
-    levels = [encode_basestring_ascii(fmt(degree)) for degree in i.levels]
+            i._concepts[cname].items()), lambda x, rank: f"{names[x]}: {levels[rank]}")
 
     def role(rname: str) -> Iterator[str]:
         return _json_container(f"{encode_basestring_ascii(rname)}: [", "]", 2, [

@@ -2,17 +2,20 @@
 
 A graph has dense vertex ids, fuzzy vertex labels and sparse labeled edges
 holding strictly positive degrees.  Graphs are immutable after construction
-and all degrees belong to one shared algebra.  Both are stored per label:
-a vertex label as one {vertex: degree} table (absent = bottom), an edge
-label as per-target incoming lists, which `_edge_store` builds from
-(source, target, k) triples for graphs and interpretations alike.
+and all degrees belong to one shared algebra.  Every degree is held as a
+rank into the graph's one `levels` tuple, and both are stored per label: a
+vertex label as one {vertex: rank} table (absent = bottom), an edge label
+as per-target incoming lists.  `_ranked_store` builds both from
+{x: k} tables and (source, target, k) triples, `k` indexing a sequence of
+degrees, for graphs and interpretations alike; `_Reader` reads a
+document's degrees into such `k`s.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Degree, degree_parser, read_json
+from .algebra import Algebra, Degree, read_json
 from .errors import UsageError
 from .partition import Partition, class_groups, split_classes
 from .record import Record
@@ -25,65 +28,108 @@ class GraphStats(Record):
 
 
 _EdgeLists = tuple[tuple[tuple[int, int], ...], ...]  # per vertex, (vertex, rank) pairs
+_Tables = dict[str, dict[int, int]]  # per label, {x: k or rank}, without bottom
 _Triples = dict[str, list[tuple[int, int, int]]]  # per label, (source, target, k) triples
 
 
-def _edge_store(algebra: Algebra, n: int, triples: _Triples, degrees: Sequence[Degree]
-                ) -> tuple[dict[str, _EdgeLists], tuple[Degree, ...]]:
-    """The edge store of per-label (source, target, k) triples over n
-    vertices, degree `degrees[k]`: per label, per-target (source, rank)
-    lists in the triples' order, and `levels`, bottom and then the distinct
-    degrees in use ascending (each object hashed once), which ranks index."""
-    objects: dict[int, list[int]] = {}  # per degree object in use, its ks
-    for k in {k for found in triples.values() for _, _, k in found}:
-        objects.setdefault(id(degrees[k]), []).append(k)
-    by_value: dict[Degree, list[int]] = {}
-    for ks in objects.values():
-        by_value.setdefault(degrees[ks[0]], []).extend(ks)
+def _ranked_store(algebra: Algebra, n: int, tables: _Tables, triples: _Triples,
+                  degrees: Sequence[Degree]
+                  ) -> tuple[_Tables, dict[str, _EdgeLists], tuple[Degree, ...], int]:
+    """The ranked store of per-label {x: k} tables and (source, target, k)
+    triples over n vertices, degree `degrees[k]`: the tables as {x: rank}
+    tables; per label, per-target (source, rank) lists in the triples'
+    order; `levels`, which ranks index: bottom, then every distinct degree
+    in use ascending, top always among them, so `len(levels) - 1` is top's
+    rank; and `l`, the number of distinct edge degrees.  Each k in use is
+    hashed once, by value: equal degrees get one rank."""
+    edge_ks = {k for found in triples.values() for _, _, k in found}
+    by_value: dict[Degree, list[int]] = {algebra.top: []}
+    for k in edge_ks.union(*(table.values() for table in tables.values())):
+        by_value.setdefault(degrees[k], []).append(k)
     ascending = sorted(by_value)
-    rank_of = {k: rank for rank, d in enumerate(ascending, 1) for k in by_value[d]}
+    rank_of = [0] * len(degrees)
+    for rank, degree in enumerate(ascending, 1):
+        for k in by_value[degree]:
+            rank_of[k] = rank
     incoming: dict[str, _EdgeLists] = {}
     for label, found in triples.items():
         lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for s, t, k in found:
             lists[t].append((s, rank_of[k]))
         incoming[label] = tuple(map(tuple, lists))
-    return incoming, (algebra.bottom, *ascending)
+    ranked = {label: {x: rank_of[k] for x, k in table.items()} for label, table in tables.items()}
+    return ranked, incoming, (algebra.bottom, *ascending), len({rank_of[k] for k in edge_ks})
 
 
-def _read_edges(parse: Callable[[object], Degree], ids: Mapping[str, int],
-                groups: Iterable[tuple[str, Iterable]], name: str) -> tuple[_Triples, list[Degree]]:
-    """Per label, [source, target, degree] entries, read in one pass into
-    `_edge_store`'s triples and the degrees k indexes (one parse per text).
-    Checks each entry's shape, names, degree (not bottom) and pair (new under
-    its label); `name.format(source, label, target)` names it in errors."""
-    n, degrees, ks = len(ids), [], {}  # ks: degree text -> its k
-    triples: _Triples = {}
-    for label, entries in groups:
-        seen: set[int] = set()
-        found = triples[label] = []
-        for entry in entries:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
-                raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
-            src, tgt, text = entry
-            k = ks.get(text) if type(text) is str else None
-            if k is None:
-                k, degree = len(degrees), parse(text)
-                if not degree:  # bottom is falsy (see `Algebra`)
+class _Reader:
+    """One document's degree reader: `k(value)` checks a degree once and
+    gives its index into `degrees`, 0 for bottom, as in `levels`.  A `str`
+    text is parsed once per text, any other value once per object: the
+    reader keeps each value it reads, so no id it keys on is reused.  So
+    `1.0` after `1` is still rejected, and equal degrees under two texts
+    ("0.5", "1/2") or objects get two `k`s, which `_ranked_store` ranks
+    alike.  A value that fails is not kept and fails again at each
+    occurrence."""
+
+    def __init__(self, algebra: Algebra):
+        self.parse = algebra.parse_degree
+        self.degrees: list[Degree] = [algebra.bottom]
+        self._ks: dict = {}  # per text, or per id of another value, its k
+        self._kept: list = []  # every value read
+
+    def k(self, value) -> int:
+        key = value if type(value) is str else id(value)
+        k = self._ks.get(key)
+        if k is None:
+            degree = self.parse(value)
+            self._kept.append(value)
+            k = self._ks[key] = len(self.degrees) if degree else 0  # bottom is falsy
+            if k:
+                self.degrees.append(degree)
+        return k
+
+    def tables(self, entries: Iterable[tuple[str, int, object]], labels: Iterable[str] = ()
+               ) -> _Tables:
+        """Per label, the {x: k} table of (label, x, degree) entries without
+        bottom degrees; each of `labels`, and each label an entry names,
+        gets a table, an empty one included."""
+        tables: _Tables = {label: {} for label in labels}
+        read = self.k
+        for label, x, value in entries:
+            k = read(value)
+            table = tables.setdefault(label, {})
+            if k:
+                table[x] = k
+        return tables
+
+    def triples(self, ids: Mapping[str, int], groups: Iterable[tuple[str, Iterable]],
+                name: str) -> _Triples:
+        """Per label, [source, target, degree] entries, read in one pass into
+        `_ranked_store`'s triples.  Checks each entry's shape, names, degree
+        (not bottom) and pair (new under its label); `name.format(source,
+        label, target)` names it in errors."""
+        n, read = len(ids), self.k
+        triples: _Triples = {}
+        for label, entries in groups:
+            seen: set[int] = set()
+            found = triples[label] = []
+            for entry in entries:
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                        and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                    raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
+                src, tgt, value = entry
+                k = read(value)
+                if not k:
                     raise UsageError(f"{name.format(src, label, tgt)} has degree 0; omit it")
-                degrees.append(degree)
-                if type(text) is str:
-                    ks[text] = k
-            try:
-                s, t = ids[src], ids[tgt]
-            except KeyError as unknown:
-                raise UsageError(f"unknown name {unknown} in {name.format(src, label, tgt)}") from None
-            if s * n + t in seen:
-                raise UsageError(f"duplicate {name.format(src, label, tgt)}")
-            seen.add(s * n + t)
-            found.append((s, t, k))
-    return triples, degrees
+                try:
+                    s, t = ids[src], ids[tgt]
+                except KeyError as unknown:
+                    raise UsageError(f"unknown name {unknown} in {name.format(src, label, tgt)}") from None
+                if s * n + t in seen:
+                    raise UsageError(f"duplicate {name.format(src, label, tgt)}")
+                seen.add(s * n + t)
+                found.append((s, t, k))
+        return triples
 
 
 def _ids(names: tuple[str, ...], kind: str) -> dict[str, int]:
@@ -110,16 +156,17 @@ def _by_source(incoming: _EdgeLists) -> _EdgeLists:
 class FuzzyGraph:
     """Vertices, fuzzy vertex labels and labeled edges over one algebra.
 
-    Each vertex label is one {vertex: degree} table without bottom degrees,
-    kept as given; `initial_partition` splits classes by each table.  The
-    edges are stored once, per label and target, as (source, rank) lists
-    with ranks into `levels`, bottom and then the distinct edge degrees
-    ascending (`incoming`).  The engine only compares degrees, so it reads
-    ranks; degrees come back only through `edges`.
+    Every degree is a rank into `levels`: bottom, then the distinct vertex
+    label and edge degrees ascending, then top if no label or edge has it.
+    Each vertex label is one {vertex: rank} table without bottom;
+    `initial_partition` splits classes by each table.  The edges are
+    stored once, per label and target, as (source, rank) lists
+    (`incoming`).  The engine only compares degrees, so it reads ranks;
+    degrees come back only through `edges`.
 
     The constructor takes names and degree text and validates both, and
     rejects duplicate edges; it is the boundary for JSON documents and
-    generators.
+    generators.  It reads every degree through one `_Reader`.
     """
 
     def __init__(
@@ -131,42 +178,34 @@ class FuzzyGraph:
     ):
         names = tuple(vertices)
         self._id = _ids(names, "vertex")
-
-        parse = degree_parser(algebra)
-        labels: dict[str, dict[int, Degree]] = {}
-        for vname, assignment in (vertex_labels or {}).items():
-            v = self.vertex_id(vname)
-            for label, degree in assignment.items():
-                degree = parse(degree)
-                table = labels.setdefault(label, {})  # kept even if all bottom
-                if degree:  # bottom is falsy (see `Algebra`)
-                    table[v] = degree
-
+        reader = _Reader(algebra)
+        labels = reader.tables(  # a vertex name is checked also when it has no label
+            (label, v, degree) for vname, assignment in (vertex_labels or {}).items()
+            for v in (self.vertex_id(vname),) for label, degree in assignment.items())
         groups: dict[str, list[tuple[str, str, Degree]]] = {}
         for entry in edges:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 4 and isinstance(entry[0], str)
                     and isinstance(entry[1], str) and isinstance(entry[2], str)):
                 raise UsageError(f"edge {entry!r} must be [from, label, to, degree]")
             groups.setdefault(entry[1], []).append((entry[0], entry[2], entry[3]))
-        self._build(algebra, names, labels, *_edge_store(algebra, len(names), *_read_edges(
-            parse, self._id, groups.items(), "edge ({0},{1},{2})")))
+        triples = reader.triples(self._id, groups.items(), "edge ({0},{1},{2})")
+        self._build(algebra, names, *_ranked_store(algebra, len(names), labels, triples,
+                                                   reader.degrees))
 
     @classmethod
-    def _from_ids(cls, algebra: Algebra, names: tuple[str, ...],
-                  labels: Mapping[str, Mapping[int, Degree]], edges: Mapping[str, _EdgeLists],
-                  levels: tuple[Degree, ...]) -> "FuzzyGraph":
-        """A graph from vertex ids and checked data, only read: {vertex:
-        degree} tables with no bottom degrees in `labels`, and an edge store,
-        `edges` and `levels` (an interpretation's encoding passes its own);
-        a label without an edge is left out."""
+    def _from_ids(cls, algebra: Algebra, names: tuple[str, ...], labels: _Tables,
+                  edges: Mapping[str, _EdgeLists], levels: tuple[Degree, ...], l: int) -> "FuzzyGraph":
+        """A graph from vertex ids and a checked ranked store, only read:
+        {vertex: rank} tables without bottom in `labels`, the edge lists,
+        `levels` and `l` (an interpretation's encoding passes its own); a
+        label without an edge is left out."""
         g = cls.__new__(cls)
         g._id = {name: i for i, name in enumerate(names)}
-        g._build(algebra, names, labels, edges, levels)
+        g._build(algebra, names, labels, edges, levels, l)
         return g
 
-    def _build(self, algebra: Algebra, names: tuple[str, ...],
-               labels: Mapping[str, Mapping[int, Degree]], edges: Mapping[str, _EdgeLists],
-               levels: tuple[Degree, ...]) -> None:
+    def _build(self, algebra: Algebra, names: tuple[str, ...], labels: _Tables,
+               edges: Mapping[str, _EdgeLists], levels: tuple[Degree, ...], l: int) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
@@ -176,6 +215,7 @@ class FuzzyGraph:
         self._in = {label: lists for label, lists in edges.items() if any(lists)}
         self.edge_label_names: tuple[str, ...] = tuple(sorted(self._in))
         self._m = sum(sum(map(len, lists)) for lists in self._in.values())
+        self._l = l
 
     @property
     def edges(self) -> tuple[tuple[int, str, int, Degree], ...]:
@@ -210,8 +250,8 @@ class FuzzyGraph:
 
     def _initial_blocks(self) -> list[list[int]]:
         """`initial_partition`'s sorted blocks in `Partition`'s order (by least
-        vertex): the classes split by each vertex label's table, then by the
-        vertices' per-label sup ranks."""
+        vertex): the classes split by each vertex label's rank table, then by
+        the vertices' per-label sup ranks."""
         if self.n == 0:
             raise UsageError("graph has no vertices")
         cls, fresh = [0] * self.n, 1
@@ -229,7 +269,7 @@ class FuzzyGraph:
         return class_groups(range(self.n), cls)
 
     def stats(self) -> GraphStats:
-        return GraphStats(n=self.n, m=self._m, l=len(self.levels) - 1)
+        return GraphStats(n=self.n, m=self._m, l=self._l)
 
 
 def graph_from_json(doc, algebra: Algebra) -> FuzzyGraph:

@@ -4,12 +4,13 @@ out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
 fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
 invariant checked after each `compcb` iteration, the partition, graph and
 aggregate reads only tests need (`refines`, `label_vector`,
-`aggregate_size`), the dense
+`aggregate_size`), the degree-keyed oracle for an interpretation's concept
+degrees, initial partition and statistics (`degree_oracle`), the dense
 evaluator kept as the differential oracle for `eval_concept` and
 `eval_role`, and the Kleene iteration that closed `R*` before the
 evaluator's one search per star, kept as that search's oracle."""
 
-from fuzzmin import FeatureSet, FuzzyGraph, Interpretation, Partition, UsageError
+from fuzzmin import FeatureSet, FuzzyGraph, GraphStats, Interpretation, Partition, UsageError
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
 from fuzzmin.fdl import (
     AndConcept,
@@ -222,9 +223,40 @@ def oracle_graphs() -> list[FuzzyGraph]:
 
 
 def label_vector(g, v) -> tuple:
-    """Dense label degrees of vertex v, one per label table in sorted name order."""
-    bottom = g.algebra.bottom
-    return tuple(g._labels[name].get(v, bottom) for name in g.vertex_label_names)
+    """Dense label degrees of vertex v, one per label table in sorted name
+    order, each rank read back through `levels`."""
+    return tuple(g.levels[g._labels[name].get(v, 0)] for name in g.vertex_label_names)
+
+
+def degree_oracle(algebra, doc, phi) -> tuple[dict, Partition, GraphStats]:
+    """From an interpretation document, each degree text parsed on its own
+    by `algebra.parse_degree` and keyed by its value: per concept the
+    {element id: degree} map of its non-bottom degrees, the initial
+    partition of the graph encoding under phi (elements keyed on their
+    concept degrees, nominals and per-role sup degrees, r- too under
+    inverse) and its statistics, `l` the number of distinct role degrees."""
+    names = doc["domain"]
+    n, ids, bottom = len(names), {name: x for x, name in enumerate(names)}, algebra.bottom
+    concepts = {cname: {ids[name]: d for name, d in ((name, algebra.parse_degree(text))
+                                                      for name, text in table.items()) if d != bottom}
+                for cname, table in doc.get("concepts", {}).items()}
+    instances = [(rname, ids[x], ids[y], algebra.parse_degree(text))
+                 for rname, entries in doc.get("roles", {}).items() for x, y, text in entries]
+    sups: dict = {}
+    for rname, x, y, d in instances:
+        for key in ((x, rname), (y, rname + "-")) if phi.inverse else ((x, rname),):
+            sups[key] = max(sups.get(key, bottom), d)
+    labels = sorted({label for _, label in sups})
+    individuals = doc.get("individuals", {}) if phi.nominal else {}
+    groups: dict = {}
+    for x in range(n):
+        key = (tuple(concepts[cname].get(x, bottom) for cname in sorted(concepts)),
+               tuple(ids[individuals[a]] == x for a in sorted(individuals)),
+               tuple(sups.get((x, label), bottom) for label in labels))
+        groups.setdefault(key, []).append(x)
+    stats = GraphStats(n, len(instances) * (2 if phi.inverse else 1),
+                       len({d for _, _, _, d in instances}))
+    return concepts, Partition(groups.values(), n), stats
 
 
 def out_maps(g) -> list[dict]:
@@ -255,9 +287,7 @@ def initial_blocks_by_columns(g) -> list[list[int]]:
     per vertex label and per edge label, vertices keyed on the tuple of their
     column values and grouped in vertex order.  The oracle for the sparse
     class splits, block order and member order included."""
-    bottom = g.algebra.bottom
-    columns = [[g._labels[name].get(v, bottom) for v in range(g.n)]
-               for name in g.vertex_label_names]
+    columns = [list(column) for column in zip(*(label_vector(g, v) for v in range(g.n)))]
     for label in g.edge_label_names:
         sup = [0] * g.n
         for sources in g.incoming(label):

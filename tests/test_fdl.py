@@ -53,6 +53,7 @@ from helpers import (
     PHI_PSI,
     chain_interp,
     collapse_interp,
+    degree_oracle,
     collapsed_twin,
     dense_concept_values,
     dense_role_matrix,
@@ -202,10 +203,10 @@ def test_forward_roles_read_predecessor_lists():
     for text in ("some r . A", "all r . A", "some r* . A"):
         node = parse_concept(text, full)
         assert eval_concept(i, node, full) == dense_concept_values(i, node)
-    assert "_out" not in vars(i)
+    assert i._out == {}
     node = parse_concept("some r- . A", full)
     assert eval_concept(i, node, full) == dense_concept_values(i, node)
-    assert "_out" in vars(i)
+    assert list(i._out) == ["r"]
 
 
 def test_inverse_role_builds_per_source_lists_of_its_own_role_only():
@@ -579,6 +580,48 @@ def test_encoding_from_ids_matches_name_built_graph():
     clash = Interpretation(GODEL, ["x"], roles={"r": [("x", "x", "1")], "r-": [("x", "x", "1")]})
     with pytest.raises(UsageError):
         interpretation_to_graph(clash, full)
+
+
+def test_concept_and_role_degrees_share_one_levels_tuple():
+    # concept degrees that no role has, and three texts of one degree in
+    # concepts and roles alike: every concept degree, the initial partition
+    # and the statistics match the degree-keyed oracle, `levels` holds every
+    # degree in use and top, and l counts role degrees only
+    godel5 = load_lattice(bundled_lattice_path("godel5"))
+    for alg, equal, concept_only, role_only in [
+        (GODEL, ["0.5", "1/2", "2/4"], ["0.3", "7/10", "1"], ["1/4", "0.25", "3/4"]),
+        (PRODUCT, ["0.5", "1/2", "2/4"], ["1/3", "0.9"], ["0.2", "1"]),
+        (LUK, ["0.5", "1/2", "2/4"], ["0.1", "6/10"], ["0.7", "1", "1/1"]),
+        (godel5, ["2", "02", "+2"], ["1", "3"], ["4"]),
+    ]:
+        rng = random.Random(f"levels:{alg.name}")
+        for _ in range(6):
+            names = [f"e{k}" for k in range(rng.randint(2, 20))]
+            first, last = names[0], names[-1]
+            concepts = {c: {x: rng.choice(equal + concept_only)
+                            for x in rng.sample(names, rng.randint(0, len(names)))}
+                        for c in ("A", "B")}
+            concepts["A"][first], concepts["B"][last] = concept_only[0], equal[2]
+            roles = {"r": [(first, last, equal[0])], "s": []}
+            for rname, entries in roles.items():
+                pairs = {(rng.choice(names), rng.choice(names)) for _ in names} - {(first, last)}
+                entries += [(x, y, rng.choice(equal + role_only)) for x, y in sorted(pairs)]
+            doc = {"domain": names, "individuals": {"o": rng.choice(names)},
+                   "concepts": concepts, "roles": roles}
+            i = Interpretation(alg, names, doc["individuals"], concepts, roles)
+            role_degrees = {alg.parse_degree(d) for entries in roles.values() for _, _, d in entries}
+            for phi in (PHI_PSI, PHI_IO):
+                degrees, partition, stats = degree_oracle(alg, doc, phi)
+                for cname in ("A", "B"):
+                    assert [i.concept_degree(cname, x) for x in range(i.n)] == [
+                        degrees[cname].get(x, alg.bottom) for x in range(i.n)]
+                g = interpretation_to_graph(i, phi)
+                assert g.initial_partition() == partition
+                assert g.stats() == stats
+                assert stats.l == len(role_degrees)
+                in_use = {d for table in degrees.values() for d in table.values()} | role_degrees
+                assert i.levels == (alg.bottom, *sorted(in_use | {alg.top}))
+                assert len(i.levels) - 1 > stats.l  # concept_only[0] is a level, not an edge degree
 
 
 # --- quotient / minimize ---------------------------------------------------------

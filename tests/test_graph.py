@@ -17,6 +17,7 @@ from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
 from fuzzmin.generate import degree_pool
 from helpers import (
     PHI_I,
+    PHI_IO,
     PHI_PSI,
     blocks_by_names,
     collapse_graph,
@@ -66,17 +67,20 @@ def test_initial_partition_groups_have_equal_labels_and_sups():
 
 
 def test_levels_and_ranked_incoming():
+    # one levels tuple for label and edge degrees, top always kept; l counts edge degrees only
     g = collapse_graph(GODEL)
-    assert g.levels == (F(0), F("0.6"), F("0.7"), F("0.8"), F("0.9"))
+    assert g.levels == (F(0), F("0.5"), F("0.6"), F("0.7"), F("0.8"), F("0.9"), F(1))
+    assert g.stats().l == 4
     u, v, w = (g.vertex_id(x) for x in "uvw")
+    assert g._labels["A"] == {u: 6, v: 1, w: 1}
     incoming = g.incoming("r")
     assert incoming[u] == ()
-    assert incoming[v] == ((u, 2), (v, 1), (w, 3))
-    assert incoming[w] == ((u, 4), (v, 3))
+    assert incoming[v] == ((u, 3), (v, 2), (w, 4))
+    assert incoming[w] == ((u, 5), (v, 4))
     # degrees, not ranks, at the public boundary
     assert out_maps(g)[u]["r"] == {v: F("0.7"), w: F("0.9")}
     assert g.edges[0] == (u, "r", v, F("0.7"))
-    assert FuzzyGraph(GODEL, ["x"]).levels == (F(0),)
+    assert FuzzyGraph(GODEL, ["x"]).levels == (F(0), F(1))
     # "1/2", "0.5" and "2/4" over two roles or labels: one level, one rank
     i = Interpretation(GODEL, ["a", "b", "c"], roles={
         "r": [("a", "b", "1/2"), ("b", "c", "0.5"), ("c", "a", "1")],
@@ -89,6 +93,24 @@ def test_levels_and_ranked_incoming():
         ranks = {label: [rank for sources in store.incoming(label) for _, rank in sources]
                  for label in ("r", "s")}
         assert sorted(ranks["r"]) == [1, 1, 2] and ranks["s"] == [1, 1]
+
+
+def test_initial_blocks_hash_no_fraction(monkeypatch):
+    # label tables hold int ranks, so the start keys on ints, never on Fractions
+    i = Interpretation(GODEL, [f"e{k}" for k in range(30)], individuals={"o": "e0"},
+                       concepts={"A": {f"e{k}": f"{k % 7}/7" for k in range(30)},
+                                 "B": {f"e{k}": f"{k % 3}/6" for k in range(0, 30, 2)}},
+                       roles={"r": [(f"e{k}", f"e{(k * 7) % 30}", f"{k % 8 + 1}/8") for k in range(30)]})
+    graphs = [interpretation_to_graph(i, phi) for phi in (PHI_PSI, PHI_IO)]
+    calls = []
+    original = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or original(self))
+    hash(F(1, 3))
+    assert len(calls) == 1  # the count sees a call
+    calls.clear()
+    for g in graphs:
+        assert len(g._initial_blocks()) > 1
+    assert calls == []
 
 
 def stored_edges(g):

@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzmin import FeatureSet, FuzzyGraph, GodelAlgebra, Interpretation, UsageError
-from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, degree_parser, load_lattice
+from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, load_lattice
 from fuzzmin.cli import main
 from fuzzmin.fdl import FEATURE_NAMES, interpretation_from_json, load_relation
-from fuzzmin.graph import graph_from_json
+from fuzzmin.generate import GeneratorParams, random_interpretation
+from fuzzmin.graph import _Reader, graph_from_json
 from fuzzmin.syntax import parse_concept
 from helpers import label_vector
 
@@ -21,7 +22,7 @@ GODEL = GodelAlgebra()
 GODEL5 = load_lattice(bundled_lattice_path("godel5"))
 
 
-# --- the degree memo keeps every check ------------------------------------------
+# --- the degree reader keeps every check -----------------------------------------
 
 def test_equal_values_of_other_types_are_still_checked():
     with pytest.raises(UsageError):
@@ -30,20 +31,38 @@ def test_equal_values_of_other_types_are_still_checked():
         Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": "1", "y": 1.0}})
     with pytest.raises(UsageError):
         FuzzyGraph(GODEL, ["x", "y"], {"x": {"A": 1}, "y": {"A": 1.0}})
-    parse = degree_parser(GODEL5)
-    assert parse(3) == 3
+    # 1.0 after an equal 1 elsewhere in the document: in a role, or a concept then a role
     with pytest.raises(UsageError):
-        parse(3.0)
+        Interpretation(GODEL, ["x", "y"], roles={"r": [("x", "y", 1), ("y", "x", 1.0)]})
+    with pytest.raises(UsageError):
+        Interpretation(GODEL, ["x", "y"], concepts={"A": {"x": 1}}, roles={"r": [("x", "y", 1.0)]})
+    with pytest.raises(UsageError):
+        FuzzyGraph(GODEL, ["x", "y"], {"x": {"A": 1}}, [("x", "r", "y", 1.0)])
+    assert Interpretation(GODEL5, ["x"], concepts={"A": {"x": 3}}).concept_degree("A", 0) == 3
+    with pytest.raises(UsageError):
+        Interpretation(GODEL5, ["x", "y"], concepts={"A": {"x": 3, "y": 3.0}})
+    with pytest.raises(UsageError):
+        FuzzyGraph(GODEL5, ["x", "y"], {}, [("x", "r", "y", 3), ("y", "r", "x", 3.0)])
 
 
 @pytest.mark.parametrize("alg", [GODEL, GODEL5], ids=["godel", "godel5"])
 def test_same_bad_text_raises_every_time(alg):
-    parse = degree_parser(alg)
+    for _ in range(2):
+        for text in ("2/0", "7"):
+            with pytest.raises(UsageError):
+                Interpretation(alg, ["x", "y"], concepts={"A": {"x": text, "y": text}})
+            with pytest.raises(UsageError):
+                Interpretation(alg, ["x", "y"], roles={"r": [("x", "y", text)]})
+            with pytest.raises(UsageError):
+                FuzzyGraph(alg, ["x", "y"], {"x": {"A": text}})
+    # within one document: the constructors' reader keeps no failed text
+    reader = _Reader(alg)
     for _ in range(2):
         with pytest.raises(UsageError):
-            parse("2/0")
+            reader.k("2/0")
         with pytest.raises(UsageError):
-            parse("7")
+            reader.k("7")
+    assert reader.degrees == [alg.bottom]
 
 
 def test_repeated_huge_exponent_exits_2_fast(tmp_path, capsys):
@@ -57,15 +76,21 @@ def test_repeated_huge_exponent_exits_2_fast(tmp_path, capsys):
     assert main(["minimize", "--input", str(path)]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err.startswith("error: ")
+    start = time.perf_counter()
     with pytest.raises(UsageError):
-        degree_parser(GODEL)("1e999999999")
+        Interpretation(GODEL, ["x", "y"], roles={"r": [("x", "y", "1e999999999")]})
+    with pytest.raises(UsageError):
+        FuzzyGraph(GODEL, ["x"], {"x": {"A": "1e999999999"}})
+    assert time.perf_counter() - start < 1
 
 
 def test_text_and_int_give_the_same_lattice_degree():
-    parse = degree_parser(GODEL5)
-    assert parse("3") == 3
-    assert parse(3) == 3
-    assert parse("3") == 3  # from the memo
+    i = Interpretation(GODEL5, ["x", "y", "z"], concepts={"A": {"x": "3", "y": 3, "z": "3"}},
+                       roles={"r": [("x", "y", 3), ("y", "z", "3")]})
+    assert [i.concept_degree("A", x) for x in range(3)] == [3, 3, 3]
+    assert i.levels == (0, 3, 4)
+    assert set(i._concepts["A"].values()) == {1}
+    assert set(i.role_instances("r").values()) == {3}
 
 
 def test_equal_texts_share_one_degree_object():
@@ -82,6 +107,37 @@ def test_equal_texts_share_one_degree_object():
     g = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "1/2"}, "v": {"A": "1/2"}},
                    [("u", "r", "v", "1/2")])
     assert label_vector(g, 0)[0] is label_vector(g, 1)[0] is g.levels[1]
+
+
+def test_degree_objects_made_while_reading_keep_their_own_k():
+    # a generator's fresh Fractions die once read, and a lattice degree is
+    # an int, not the Fraction: the reader keeps each one, so no later
+    # object reuses its id and its k
+    degrees = [F(k % 4 + 1) for k in range(200)]
+    names = [f"x{k}" for k in range(201)]
+    i = Interpretation(GODEL5, names, roles={"r": (
+        (names[k], names[k + 1], F(d.numerator)) for k, d in enumerate(degrees))})
+    assert [i.role_instances("r")[k, k + 1] for k in range(200)] == degrees
+
+
+def test_one_k_per_distinct_degree_object(monkeypatch):
+    # `verify`'s interpretations share their pool's degree objects across
+    # instances: the reader parses, and gives a k to, each object once
+    params = GeneratorParams(n_min=2, n_max=10, edge_factor=3, pool_size=4,
+                             concept_count=2, role_count=2, individual_count=1)
+    shared = 0
+    for alg in (GodelAlgebra(), GODEL5):
+        for seed in range(3):
+            parsed = []  # keeps every value alive, so ids stay distinct
+            parse = alg.parse_degree
+            monkeypatch.setattr(alg, "parse_degree", lambda value: parsed.append(value) or parse(value))
+            i = random_interpretation(params, seed, alg)
+            monkeypatch.undo()
+            instances = (sum(len(i._concepts[c]) for c in i.concept_names)
+                         + sum(len(i.role_instances(r)) for r in i.role_names))
+            assert len({id(value) for value in parsed}) == len(parsed) <= instances, (alg.name, seed)
+            shared += instances - len(parsed)
+    assert shared > 0
 
 
 # --- fuzz: only UsageError out of the loaders ----------------------------------
