@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -300,6 +301,66 @@ class FiniteLatticeAlgebra(Algebra):
 
 def _is_list(value) -> bool:
     return isinstance(value, (list, tuple))
+
+
+class _OperatorMemo:
+    """The operators of one evaluation, each applied once per pair of
+    argument objects, and the evaluation's test values.
+
+    A finite interpretation holds few distinct degrees, so one evaluation
+    applies each operator to few distinct pairs.  `tnorm`, `snorm`,
+    `residuum`, `neg` and `baaz` pass a new pair to the algebra's checked
+    operator, read from the instance when the memo is made, and return
+    the kept result on a repeat; so do the joins, `max` and `min`, which
+    return one of their arguments.  Entries are keyed on the arguments'
+    ids and keep the arguments alive, so no id is reused while the memo
+    lives: make one per evaluation and drop it after.  `tests` maps a
+    test node's id to its concept's values, evaluated once."""
+
+    __slots__ = ("tests", "tnorm", "snorm", "residuum", "neg", "baaz", "_modes")
+
+    def __init__(self, algebra: Algebra):
+        self.tests: dict[int, list[Degree]] = {}
+        self.tnorm, self.snorm, self.residuum = map(
+            _memoized, (algebra.tnorm, algebra.snorm, algebra.residuum))
+        self.neg, self.baaz = map(_memoized_unary, (algebra.neg, algebra.baaz))
+        self._modes = ((_memoized(min), self.residuum, operator.lt),
+                       (_memoized(max), self.tnorm, operator.gt))
+
+    def modal(self, some: bool) -> tuple:
+        """(join, step, better) of `some R . v`, or of `all R . v`: how
+        two successors' values combine, how a degree acts on a successor's
+        value, and which of two values the star search settles first."""
+        return self._modes[some]
+
+
+def _memoized(op: Callable) -> Callable:
+    results: dict[tuple[int, int], Degree] = {}
+    keep = [].extend  # every entry's arguments, alive as long as the memo
+
+    def memo(a, b):
+        key = (id(a), id(b))
+        c = results.get(key)
+        if c is None:
+            c = results[key] = op(a, b)
+            keep((a, b))
+        return c
+
+    return memo
+
+
+def _memoized_unary(op: Callable) -> Callable:
+    results: dict[int, Degree] = {}
+    keep = [].append
+
+    def memo(a):
+        c = results.get(id(a))
+        if c is None:
+            c = results[id(a)] = op(a)
+            keep(a)
+        return c
+
+    return memo
 
 
 def check_axioms(algebra: Algebra, triples: Iterable[tuple[Degree, Degree, Degree]]) -> list[str]:

@@ -15,6 +15,7 @@ import gc
 import json
 import sys
 import time
+from itertools import islice
 from typing import Iterable
 
 from .algebra import bundled_lattice_path, load_lattice, make_algebra, read_json
@@ -70,12 +71,20 @@ def _render_block_family(blocks, names) -> str:
     return _render_blocks([[names[v] for v in ids] for ids in ordered_blocks(blocks, names)])
 
 
+_BATCH = 4096  # pieces per write of a streamed output
+
+
 def _write_output(args, pieces: Iterable[str]) -> None:
+    """Write non-empty pieces joined in batches of `_BATCH`: one write
+    per piece costs more than the join, and batches keep the output
+    streamed."""
+    pieces = iter(pieces)
+    batches = iter(lambda: "".join(islice(pieces, _BATCH)), "")
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
+            f.writelines(batches)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(batches)
 
 
 def cmd_minimize(args) -> int:

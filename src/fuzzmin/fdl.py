@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Algebra, Degree, read_json
+from .algebra import Algebra, Degree, _OperatorMemo, read_json
 from .errors import FeatureError, UsageError
 from .graph import FuzzyGraph, _Reader, _Tables, _Triples, _by_source, _ids, _object_of, _ranked_store
 from .partition import Partition, ordered_blocks
@@ -370,75 +370,76 @@ def eval_role(i: Interpretation, role: RoleNode, phi: FeatureSet) -> list[list[D
     """Degree matrix of a complex role over the whole domain."""
     check_features(role, phi)
     rows = [[i.algebra.bottom] * i.n for _ in range(i.n)]
-    tests: dict[int, list[Degree]] = {}
+    ops = _OperatorMemo(i.algebra)  # one for all the columns
     for y in range(i.n):
-        for x, degree in enumerate(_role_column(i, role, y, tests)):
+        for x, degree in enumerate(_role_column(i, role, y, ops)):
             rows[x][y] = degree
     return rows
 
 
-def _role_column(i: Interpretation, role: RoleNode, y: int,
-                 tests: dict[int, list[Degree]]) -> list[Degree]:
+def _role_column(i: Interpretation, role: RoleNode, y: int, ops: _OperatorMemo) -> list[Degree]:
     """R(x, y) for every x, as some R.v where v is top at y and bottom elsewhere."""
     v = [i.algebra.bottom] * i.n
     v[y] = i.algebra.top
-    return _modal(i, role, v, tests, True)
+    return _modal(i, role, v, ops, True)
 
 
-def _modal(i: Interpretation, role: RoleNode, v: list[Degree], tests: dict[int, list[Degree]],
+def _modal(i: Interpretation, role: RoleNode, v: list[Degree], ops: _OperatorMemo,
            some: bool, inverted: bool = False) -> list[Degree]:
     """some R.v at every element, or all R.v when not `some`, computed from
     the role store alone.  A pending inverse is pushed down to the role
     names; tests and the universal role are their own inverses.  Like the
-    star search, it reads predecessor lists.  `tests` memoizes tests
-    (`_test_values`).
+    star search, it reads predecessor lists.  `ops` is the evaluation's
+    `algebra._OperatorMemo`.
 
     The `all` form of each step takes min and the residuum where `some`
     takes max and the t-norm: (sup a) => c = inf (a => c) and
     (a * b) => c = a => (b => c).
     """
     alg = i.algebra
-    join, step = (max, alg.tnorm) if some else (min, alg.residuum)
+    join, step, _ = ops.modal(some)
     while isinstance(role, InverseRole):
         role, inverted = role.child, not inverted
     if isinstance(role, RoleName):
-        out = [alg.bottom if some else alg.top] * i.n
+        neutral = alg.bottom if some else alg.top
+        out = [neutral] * i.n
         levels = i.levels
         for y, sources in enumerate(i._adjacency(role.name, not inverted)):
             w = v[y]
             for x, rank in sources:
-                out[x] = join(out[x], step(levels[rank], w))
+                d = step(levels[rank], w)
+                out[x] = d if out[x] is neutral else join(out[x], d)  # neutral: join's unit
         return out
     if isinstance(role, UniversalRole):
-        return [step(alg.top, join(v))] * i.n
+        return [step(alg.top, max(v) if some else min(v))] * i.n
     if isinstance(role, TestRole):
-        return [step(c, d) for c, d in zip(_test_values(i, role, tests), v)]
+        return [step(c, d) for c, d in zip(_test_values(i, role, ops), v)]
     if isinstance(role, UnionRole):
         first, *rest = _chain_operands(role)
-        out = _modal(i, first, v, tests, some, inverted)
+        out = _modal(i, first, v, ops, some, inverted)
         for part in rest:
-            out = list(map(join, out, _modal(i, part, v, tests, some, inverted)))
+            out = list(map(join, out, _modal(i, part, v, ops, some, inverted)))
         return out
     if isinstance(role, ComposeRole):
         # R ; S applies S first, and R first under an inverse
         parts = _chain_operands(role)
         for part in (parts if inverted else reversed(parts)):
-            v = _modal(i, part, v, tests, some, inverted)
+            v = _modal(i, part, v, ops, some, inverted)
         return v
     if isinstance(role, StarRole):
-        return _star(i, role, v, tests, some, inverted)
+        return _star(i, role, v, ops, some, inverted)
     raise UsageError(f"unknown role node {role!r}")
 
 
-def _test_values(i: Interpretation, test: TestRole, tests: dict[int, list[Degree]]) -> list[Degree]:
-    """The values of a test's concept, evaluated once and kept in `tests`."""
-    values = tests.get(id(test))
+def _test_values(i: Interpretation, test: TestRole, ops: _OperatorMemo) -> list[Degree]:
+    """The values of a test's concept, evaluated once and kept in `ops.tests`."""
+    values = ops.tests.get(id(test))
     if values is None:
-        values = tests[id(test)] = _concept_values(i, test.concept, tests)
+        values = ops.tests[id(test)] = _concept_values(i, test.concept, ops)
     return values
 
 
-def _star(i: Interpretation, star: RoleNode, v: list[Degree], tests: dict[int, list[Degree]],
+def _star(i: Interpretation, star: RoleNode, v: list[Degree], ops: _OperatorMemo,
           some: bool, inverted: bool) -> list[Degree]:
     """some R*.v, or all R*.v when not `some`, by one search over the pairs
     (element, state of R*'s automaton, see `_StarAutomaton`).
@@ -455,10 +456,9 @@ def _star(i: Interpretation, star: RoleNode, v: list[Degree], tests: dict[int, l
     states."""
     alg = i.algebra
     n = i.n
-    step = alg.tnorm if some else alg.residuum
-    better = operator.gt if some else operator.lt
+    _, step, better = ops.modal(some)
     neutral = alg.bottom if some else alg.top  # the value no path improves
-    automaton = _StarAutomaton(i, star, inverted, tests)
+    automaton = _StarAutomaton(i, star, inverted, ops)
     into, accepting = automaton.into, automaton.accepting
     value = [[neutral] * n for _ in accepting]
     done = [bytearray(n) for _ in accepting]
@@ -515,9 +515,8 @@ class _StarAutomaton:
     says whether a word may end in q; state 0 is the start.  States are
     numbers, so the automaton holds no reference cycle."""
 
-    def __init__(self, i: Interpretation, star: RoleNode, inverted: bool,
-                 tests: dict[int, list[Degree]]):
-        self.i, self.tests = i, tests
+    def __init__(self, i: Interpretation, star: RoleNode, inverted: bool, ops: _OperatorMemo):
+        self.i, self.ops = i, ops
         self.built: dict = {}  # sources per role name and direction, and per test node
         self.ends: list[bool] = []  # per state built, whether a word may end in it
         self.moves: list[list[tuple]] = []  # per state built, its (sources, next state)
@@ -593,7 +592,7 @@ class _StarAutomaton:
         elif isinstance(role, TestRole):
             key = id(role)
             if key not in self.built:
-                values = _test_values(self.i, role, self.tests)
+                values = _test_values(self.i, role, self.ops)
                 self.built[key] = (tuple(((y, y),) if c else () for y, c in enumerate(values)),
                                    values)
         else:
@@ -604,11 +603,10 @@ class _StarAutomaton:
 def eval_concept(i: Interpretation, concept: ConceptNode, phi: FeatureSet) -> list[Degree]:
     """Degree of a concept at every domain element, in domain order."""
     check_features(concept, phi)
-    return _concept_values(i, concept, {})
+    return _concept_values(i, concept, _OperatorMemo(i.algebra))
 
 
-def _concept_values(i: Interpretation, concept: ConceptNode,
-                    tests: dict[int, list[Degree]]) -> list[Degree]:
+def _concept_values(i: Interpretation, concept: ConceptNode, ops: _OperatorMemo) -> list[Degree]:
     alg = i.algebra
     n = i.n
     if isinstance(concept, ConstantConcept):
@@ -620,25 +618,25 @@ def _concept_values(i: Interpretation, concept: ConceptNode,
         elem = i.individual_element(concept.individual)
         return [alg.top if x == elem else alg.bottom for x in range(n)]
     if isinstance(concept, BaazConcept):
-        return [alg.baaz(v) for v in _concept_values(i, concept.child, tests)]
+        return list(map(ops.baaz, _concept_values(i, concept.child, ops)))
     if isinstance(concept, NotConcept):
-        return [alg.neg(v) for v in _concept_values(i, concept.child, tests)]
+        return list(map(ops.neg, _concept_values(i, concept.child, ops)))
     if isinstance(concept, (AndConcept, OrConcept)):
-        op = alg.tnorm if isinstance(concept, AndConcept) else alg.snorm
+        op = ops.tnorm if isinstance(concept, AndConcept) else ops.snorm
         first, *rest = _chain_operands(concept)
-        values = _concept_values(i, first, tests)
+        values = _concept_values(i, first, ops)
         for part in rest:
-            values = list(map(op, values, _concept_values(i, part, tests)))
+            values = list(map(op, values, _concept_values(i, part, ops)))
         return values
     if isinstance(concept, ImpliesConcept):
         *lefts, last = _chain_operands(concept)
-        values = _concept_values(i, last, tests)
+        values = _concept_values(i, last, ops)
         for part in reversed(lefts):
-            values = list(map(alg.residuum, _concept_values(i, part, tests), values))
+            values = list(map(ops.residuum, _concept_values(i, part, ops), values))
         return values
     if isinstance(concept, (ForallConcept, ExistsConcept)):
-        child = _concept_values(i, concept.child, tests)
-        return _modal(i, concept.role, child, tests, isinstance(concept, ExistsConcept))
+        child = _concept_values(i, concept.child, ops)
+        return _modal(i, concept.role, child, ops, isinstance(concept, ExistsConcept))
     raise UsageError(f"unknown concept node {concept!r}")
 
 
@@ -917,7 +915,7 @@ def satisfies(i: Interpretation, phi: FeatureSet, stmt) -> bool:
     else:
         x, y = i.individual_element(stmt.a), i.individual_element(stmt.b)
         check_features(stmt.role, phi)
-        values = [_role_column(i, stmt.role, y, {})[x]]
+        values = [_role_column(i, stmt.role, y, _OperatorMemo(i.algebra))[x]]
     compare = _COMPARE[stmt.op]
     return all(compare(v, bound) for v in values)
 
