@@ -313,9 +313,12 @@ class _OperatorMemo:
     operator, read from the instance when the memo is made, and return
     the kept result on a repeat; so do the joins, `max` and `min`, which
     return one of their arguments.  Entries are keyed on the arguments'
-    ids and keep the arguments alive, so no id is reused while the memo
-    lives: make one per evaluation and drop it after.  `tests` maps a
-    test node's id to its concept's values, evaluated once."""
+    ids and keep the arguments alive, so no id is reused while its entry
+    lives: make one per evaluation and drop it after.  A memoized operator
+    that reaches `_MEMO_ENTRIES` entries drops them all with their kept
+    arguments and starts over, so its memory stays bounded and its results
+    exact.  `tests` maps a test node's id to its concept's values,
+    evaluated once."""
 
     __slots__ = ("tests", "tnorm", "snorm", "residuum", "neg", "baaz", "_modes")
 
@@ -334,16 +337,23 @@ class _OperatorMemo:
         return self._modes[some]
 
 
+_MEMO_ENTRIES = 1 << 12  # entries one memoized operator holds before it starts over
+
+
 def _memoized(op: Callable) -> Callable:
     results: dict[tuple[int, int], Degree] = {}
-    keep = [].extend  # every entry's arguments, alive as long as the memo
+    keep: list = []  # every entry's arguments, alive as long as the entry
+    limit = _MEMO_ENTRIES
 
     def memo(a, b):
         key = (id(a), id(b))
         c = results.get(key)
         if c is None:
+            if len(results) >= limit:
+                results.clear()  # with the arguments that keep its ids taken
+                keep.clear()
             c = results[key] = op(a, b)
-            keep((a, b))
+            keep.extend((a, b))
         return c
 
     return memo
@@ -351,13 +361,17 @@ def _memoized(op: Callable) -> Callable:
 
 def _memoized_unary(op: Callable) -> Callable:
     results: dict[int, Degree] = {}
-    keep = [].append
+    keep: list = []
+    limit = _MEMO_ENTRIES
 
     def memo(a):
         c = results.get(id(a))
         if c is None:
+            if len(results) >= limit:
+                results.clear()
+                keep.clear()
             c = results[id(a)] = op(a)
-            keep(a)
+            keep.append(a)
         return c
 
     return memo

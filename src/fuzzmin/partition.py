@@ -30,10 +30,11 @@ def split_classes(cls: list[int], column: Iterable[tuple[int, Hashable]], fresh:
     return fresh + len(new)
 
 
-def class_groups(vertices: Iterable[int], cls: Sequence[int]) -> list[list[int]]:
-    """The vertices grouped by class id in `cls`, each group in the order
-    given and the groups in order of their first vertex."""
-    groups: dict[int, list[int]] = {}
+def class_groups(vertices: Iterable[int], cls: Sequence[Hashable]) -> list[list[int]]:
+    """The vertices grouped by their entry in `cls`, a class id or any other
+    key, each group in the order given and the groups in order of their
+    first vertex."""
+    groups: dict[Hashable, list[int]] = {}
     for v in vertices:
         groups.setdefault(cls[v], []).append(v)
     return list(groups.values())

@@ -10,9 +10,11 @@ the degrees, used as a differential oracle for the engine.
 
 The engine starts each label's splitter family Q from the initial
 partition P0, one Q-block per initial block, and splits each P0 block once
-by its vertices' sups into every Q-block: `partition.split_classes` splits
-the vertices' classes by each Q-block's sup ranks in turn, and the largest
-class of each P0 block keeps its id.  That start P is stable with
+by its vertices' signatures, their sup ranks into every Q-block: one scan
+of each label's per-target lists keeps one int per source while its edges
+go into one Q-block and a small dict after that, so nothing is made per
+Q-block.  `partition.class_groups` groups each P0 block by signature, and
+the largest group keeps the block's id.  That start P is stable with
 respect to Q and loses no coarseness: a P0 block is a union of blocks of
 any stable refinement of P0, and the sup into a union is the max of the
 sups into its parts.  Each loop step then moves one block out of a
@@ -32,7 +34,10 @@ block bid for label index li:
   per its label: a bare int rank while one edge is counted, promoted to a
   `DegreeAggregate` when a second edge arrives.  Sources without such
   edges, or alone in their block, have no entry; an entry made before its
-  source was left alone goes stale and is never read;
+  source was left alone goes stale and is never read.  `agg[qid]` is None
+  for an initial Q-block until the loop first splits it, which counts it
+  in one pass over the edges into its blocks: the set-up split needs only
+  sups, and a Q-block's aggregates are read only when it splits;
 - `alone[v]` is whether vertex v's block holds only v.  Such a block can
   never split, so v's aggregates would never be read.  Blocks only split,
   so the flag only turns on, and a vertex not alone now never was: every
@@ -51,7 +56,7 @@ from collections import deque
 from typing import Callable, TYPE_CHECKING
 
 from .errors import UsageError
-from .partition import Partition, class_groups, split_classes
+from .partition import Partition, class_groups
 from .record import Record
 
 if TYPE_CHECKING:
@@ -133,13 +138,14 @@ class _Refiner:
         self.width = len(g.levels)
         blocks = g._initial_blocks()
         self.members: list[dict[int, None]] = [dict.fromkeys(block) for block in blocks]
-        self.blk: list[int] = [0] * g.n
-        self.alone: list[bool] = [False] * g.n
+        blk: list[int] = [0] * g.n
+        alone: list[bool] = [False] * g.n
         for bid, block in enumerate(blocks):
             for v in block:
-                self.blk[v] = bid
+                blk[v] = bid
             if len(block) == 1:
-                self.alone[block[0]] = True
+                alone[block[0]] = True
+        self.blk, self.alone = blk, alone
         self.incoming = [g.incoming(label) for label in self.labels]
         nb, nl = len(blocks), len(self.labels)
         self.qof: list[list[int]] = [list(range(li * nb, (li + 1) * nb)) for li in range(nl)]
@@ -147,37 +153,45 @@ class _Refiner:
         self.qhead: list[int] = [0] * (nl * nb)
         self.qlabel: list[int] = [li for li in range(nl) for _ in range(nb)]
         self.queued: list[bool] = [False] * (nl * nb)
-        self.agg: list[dict[int, int | DegreeAggregate]] = [{} for _ in range(nl * nb)]
+        # an initial Q-block's aggregates are counted on its first split
+        self.agg: list[dict[int, int | DegreeAggregate] | None] = [None] * (nl * nb)
         self.queues: list[deque[int]] = [deque() for _ in self.labels]
 
-        # fill the aggregates Q-block by Q-block, in qid order, and split the
-        # sources' classes, at first their blocks, by their sup rank into each one
-        pair = DegreeAggregate.pair
-        alone = self.alone
-        cls, fresh = self.blk[:], nb
+        # one scan of the edges for each source's signature, its sup rank into
+        # each initial Q-block: the one int qid * width + sup while the source
+        # has edges into one Q-block (ranks of edges are 1 or more), promoted
+        # to a {qid: sup} dict when a second comes, and frozen after the scan;
+        # None for a source without edges or alone in its block
+        width = self.width
+        sig: list[int | dict[int, int] | frozenset | None] = [None] * g.n
+        promoted: list[int] = []
         for li, incoming in enumerate(self.incoming):
-            for bid, block in enumerate(blocks):
-                aggs = self.agg[li * nb + bid]
-                get = aggs.get
-                for y in block:
-                    for x, rank in incoming[y]:
-                        if alone[x]:
-                            continue
-                        # a bare int rank until a second edge of x arrives
-                        held = get(x)
-                        if held is None:
-                            aggs[x] = rank
-                        elif type(held) is int:
-                            aggs[x] = pair(held, rank)
-                        else:
-                            held.add(rank)
-                if aggs:
-                    fresh = split_classes(cls, ((x, held if type(held) is int else held.max())
-                                                for x, held in aggs.items()), fresh)
+            base = li * nb
+            for y, sources in enumerate(incoming):
+                if not sources:
+                    continue
+                qid = base + blk[y]
+                low = qid * width
+                for x, rank in sources:
+                    if alone[x]:
+                        continue
+                    held = sig[x]
+                    if held is None:
+                        sig[x] = low + rank
+                    elif type(held) is int:
+                        if not low < held < low + width:  # another Q-block's
+                            sig[x] = {held // width: held % width, qid: rank}
+                            promoted.append(x)
+                        elif held < low + rank:
+                            sig[x] = low + rank
+                    elif rank > held.get(qid, 0):
+                        held[qid] = rank
+        for x in promoted:
+            sig[x] = frozenset(sig[x].items())
 
-        # split each P0 block by class; the largest group keeps the block's id
+        # split each P0 block by signature; the largest group keeps the block's id
         for bid, block in enumerate(blocks):
-            if len(block) > 1 and len(groups := class_groups(block, cls)) > 1:
+            if len(block) > 1 and len(groups := class_groups(block, sig)) > 1:
                 stays = max(groups, key=len)
                 self._split_block(bid, [moved for moved in groups if moved is not stays])
 
@@ -252,28 +266,36 @@ class _Refiner:
         self.qof[li][y_prime] = new_qid
         self._enqueue_if_compound(qid)
 
-        # move the ranks of edges into y_prime out of the old aggregates; the
-        # sources with an aggregate into y_prime are the affected ones that
-        # can split
+        # the sources with an aggregate into y_prime are the affected ones
+        # that can split
         incoming = self.incoming[li]
-        old_aggs, new_aggs = self.agg[qid], self.agg[new_qid]
-        get_new = new_aggs.get
-        pair = DegreeAggregate.pair
-        alone = self.alone
-        for y in self.members[y_prime]:
-            for x, rank in incoming[y]:
-                if alone[x]:
-                    continue
-                old = old_aggs[x]
-                if type(old) is int or old.remove(rank):
-                    del old_aggs[x]
-                held = get_new(x)
-                if held is None:
-                    new_aggs[x] = rank
-                elif type(held) is int:
-                    new_aggs[x] = pair(held, rank)
-                else:
-                    held.add(rank)
+        old_aggs = self.agg[qid]
+        if old_aggs is None:
+            # an initial Q-block's first split counts the edges into the blocks
+            # it keeps and into y_prime, each edge once; its vertex set never
+            # grows, so no edge is counted here twice over a run
+            old_aggs = self.agg[qid] = self._count(incoming, bids[head + 1:])
+            new_aggs = self.agg[new_qid] = self._count(incoming, (y_prime,))
+        else:
+            # move the ranks of edges into y_prime out of the old aggregates
+            new_aggs = self.agg[new_qid]
+            get_new = new_aggs.get
+            pair = DegreeAggregate.pair
+            alone = self.alone
+            for y in self.members[y_prime]:
+                for x, rank in incoming[y]:
+                    if alone[x]:
+                        continue
+                    old = old_aggs[x]
+                    if type(old) is int or old.remove(rank):
+                        del old_aggs[x]
+                    held = get_new(x)
+                    if held is None:
+                        new_aggs[x] = rank
+                    elif type(held) is int:
+                        new_aggs[x] = pair(held, rank)
+                    else:
+                        held.add(rank)
         if not new_aggs:
             return False
 
@@ -314,6 +336,27 @@ class _Refiner:
             self._split_block(bid, movers)
         return changed
 
+    def _count(self, incoming: list, bids) -> dict[int, int | DegreeAggregate]:
+        """The aggregates of the edges into blocks bids, per source not alone:
+        a bare int rank for one edge, a `DegreeAggregate` from the second."""
+        aggs: dict[int, int | DegreeAggregate] = {}
+        get = aggs.get
+        pair = DegreeAggregate.pair
+        alone, members = self.alone, self.members
+        for bid in bids:
+            for y in members[bid]:
+                for x, rank in incoming[y]:
+                    if alone[x]:
+                        continue
+                    held = get(x)
+                    if held is None:
+                        aggs[x] = rank
+                    elif type(held) is int:
+                        aggs[x] = pair(held, rank)
+                    else:
+                        held.add(rank)
+        return aggs
+
     def _split_block(self, bid: int, movers: list[list[int]]) -> None:
         """Move each group of vertices in movers out of block bid into a new
         block, which joins bid's Q-block in every label; that Q-block now
@@ -348,11 +391,14 @@ def compcb(
 
     Starts each edge label's splitter partition as the initial partition
     and the partition as its split by every vertex's sups into those
-    splitter blocks.  Then repeatedly picks an edge label whose splitter
-    partition is still coarser than the current partition, takes a
-    compound splitter block, splits it by a contained block of at most half
-    its size, and re-splits the partition against the two halves: one step
-    per block the run adds to the start partition, per edge label.
+    splitter blocks, read in one scan of the edges.  Then repeatedly picks
+    an edge label whose splitter partition is still coarser than the
+    current partition, takes a compound splitter block, splits it by a
+    contained block of at most half its size, and re-splits the partition
+    against the two halves: one step per block the run adds to the start
+    partition, per edge label.  A splitter block's per-source multisets of
+    edge ranks are counted when it is first split, so the splitter blocks
+    the run never splits cost no more than their share of the scan.
     """
     return _Refiner(g).run(on_iteration)
 

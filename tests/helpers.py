@@ -409,9 +409,16 @@ def check_aggregates(refiner: _Refiner) -> None:
     source whose block has two or more vertices has an aggregate into a
     Q-block that holds one rank per edge into it, whose max is the rank of
     a fresh sup.  A source alone in its block never splits, so its
-    aggregates are never read and may be missing or stale."""
+    aggregates are never read and may be missing or stale.  An initial
+    Q-block (qid below L * |P0|) is counted on its first split, so until
+    the loop has split it (its head still 0) it holds None."""
     sizes = [len(refiner.members[bid]) for bid in refiner.blk]
+    initial = len(refiner.labels) * len(refiner.g.initial_partition())
     for qid, aggs in enumerate(refiner.agg):
+        if aggs is None:
+            assert qid < initial and refiner.qhead[qid] == 0, \
+                f"q{qid} holds no aggregates, but it is not an unsplit initial Q-block"
+            continue
         incoming = refiner.incoming[refiner.qlabel[qid]]
         fresh: dict[int, int] = {}
         edges = 0

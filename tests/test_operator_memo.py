@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzmin import FeatureSet, Interpretation, eval_concept, eval_role, parse_concept, parse_role
+from fuzzmin import algebra as algebra_module
 from fuzzmin.algebra import _OperatorMemo, bundled_lattice_path, load_lattice, make_algebra
 from fuzzmin.fdl import FEATURE_NAMES
 from fuzzmin.generate import degree_pool
@@ -123,3 +124,48 @@ def test_memoized_evaluation_matches_kleene_oracle_at_n100(name):
                 values = eval_concept(i, node, FULL)
                 assert values == kleene_concept_values(i, node), (role, child, quantifier)
                 assert {type(d) for d in values} == {type(alg.top)}
+
+
+def memo_tables(memoized) -> tuple[dict, list]:
+    """A memoized operator's results and kept arguments, from its closure."""
+    cells = dict(zip(memoized.__code__.co_freevars, memoized.__closure__))
+    return cells["results"].cell_contents, cells["keep"].cell_contents
+
+
+@pytest.mark.parametrize("name", VERIFY_ALGEBRAS)
+def test_memo_starts_over_at_its_bound(monkeypatch, name):
+    # with the bound lowered to 8, each memoized operator drops its results
+    # and its kept arguments together when it is full: results stay exact
+    # under id reuse, the tables never exceed the bound, and a repeat
+    # inside one round is still answered from the memo
+    monkeypatch.setattr(algebra_module, "_MEMO_ENTRIES", 8)
+    alg = algebra(name)
+    top = alg.size - 1 if name == "godel5" else 12
+    rng = random.Random(f"bound:{name}")
+
+    def fresh():
+        if name == "godel5":
+            return Fraction(rng.randint(0, top))
+        return Fraction(rng.randint(0, top), top)
+
+    calls = count_calls(alg)
+    memo = _OperatorMemo(alg)
+    for op, arity in OPERATORS.items():
+        memoized = getattr(memo, op)
+        results, keep = memo_tables(memoized)
+        started = calls[op]
+        for k in range(1_000):
+            args = [fresh() for _ in range(arity)]
+            assert memoized(*args) == getattr(alg, op)(*args), (op, args)
+            assert memoized(*args) == getattr(alg, op)(*args), (op, args)  # a repeat
+            assert 1 <= len(results) <= 8 and len(keep) == arity * len(results), (op, k)
+            del args
+        # each round: the memo's own call plus the two plain ones
+        assert calls[op] - started == 3 * 1_000, op
+    # the same eval with a bound below its distinct pairs
+    i = hundred(alg, 4)
+    node = parse_concept("some (r ; s) . (A & all s- . B)", FULL)
+    values = eval_concept(i, node, FULL)
+    assert values == kleene_concept_values(i, node)
+    monkeypatch.setattr(algebra_module, "_MEMO_ENTRIES", 1 << 12)
+    assert eval_concept(i, node, FULL) == values

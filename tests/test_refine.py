@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from fuzzmin import (
     DegreeAggregate,
+    FeatureSet,
     FuzzyGraph,
     GodelAlgebra,
     Partition,
     UsageError,
     compcb,
+    interpretation_from_json,
     interpretation_to_graph,
     is_stable,
     naive_coarsest_stable_refinement,
@@ -32,6 +35,7 @@ from helpers import (
 )
 
 GODEL = GodelAlgebra()
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 FAMILY_BACKENDS = [GODEL, make_algebra("product"), make_algebra("lukasiewicz")]
 
 
@@ -253,22 +257,38 @@ def test_order_preserving_relabelling_keeps_partition():
 # --- one-vertex blocks ------------------------------------------------------------
 
 def test_check_aggregates_catches_a_corrupt_aggregate():
-    # b, c and d share an initial block, a is alone; the set-up splits d off,
-    # since only d has an edge into a's block.  The engine reads b's and c's
-    # aggregates into their own Q-block, so corrupting either must fail the
-    # check, while an entry for a is never read and may be anything
-    g = FuzzyGraph(GODEL, ["a", "b", "c", "d"], {"a": {"A": "1"}}, [
-        ("b", "r", "c", "0.5"), ("b", "r", "d", "0.5"), ("c", "r", "d", "0.5"),
-        ("d", "r", "a", "0.5"), ("a", "r", "b", "1"),
+    # b, c, d and e share an initial block, a is alone; the set-up splits d
+    # and e off, since only they have an edge into a's block, and the first
+    # step splits d off that Q-block, which counts its aggregates.  The engine
+    # reads b's and c's aggregates into what the Q-block keeps, so corrupting
+    # either must fail the check, while an entry for a is never read and may
+    # be anything
+    g = FuzzyGraph(GODEL, ["a", "b", "c", "d", "e"], {"a": {"A": "1"}}, [
+        ("b", "r", "c", "0.5"), ("b", "r", "e", "1"), ("b", "r", "d", "0.5"),
+        ("c", "r", "b", "0.5"), ("c", "r", "e", "1"), ("c", "r", "d", "0.5"),
+        ("d", "r", "a", "0.5"), ("d", "r", "d", "1"), ("e", "r", "a", "1"),
+        ("a", "r", "b", "1"),
     ])
-    a, b, c, d = map(g.vertex_id, "abcd")
+    a, b, c, d, e = map(g.vertex_id, "abcde")
+
+    class FirstStep(Exception):
+        pass
+
+    def stop(_step):
+        raise FirstStep
 
     def refiner():
         fresh = _Refiner(g)
+        q = fresh.qof[0][fresh.blk[b]]
+        assert fresh.agg[q] is None  # counted on its first split
         check_aggregates(fresh)
-        assert [sorted(verts) for verts in fresh.members] == [[a], [b, c], [d]]
-        aggs = fresh.agg[fresh.qof[0][fresh.blk[b]]]
-        assert type(aggs[b]) is DegreeAggregate and aggs[c] == 1
+        assert [sorted(verts) for verts in fresh.members] == [[a], [b, c], [d], [e]]
+        with pytest.raises(FirstStep):
+            fresh.run(on_iteration=stop)
+        assert fresh.qhead[q] == 1 and fresh.qof[0][fresh.blk[d]] != q
+        check_aggregates(fresh)
+        aggs = fresh.agg[q]
+        assert type(aggs[b]) is DegreeAggregate and type(aggs[c]) is DegreeAggregate
         assert a not in aggs
         return fresh, aggs
 
@@ -276,6 +296,7 @@ def test_check_aggregates_catches_a_corrupt_aggregate():
         lambda aggs: aggs.__setitem__(c, 2),  # wrong sup
         lambda aggs: aggs[b].add(1),  # one edge too many, same sup
         lambda aggs: aggs.pop(c),  # missing
+        lambda aggs: aggs.clear(),  # none at all
     ]
     for corrupt in corruptions:
         broken, aggs = refiner()
@@ -285,6 +306,11 @@ def test_check_aggregates_catches_a_corrupt_aggregate():
     ignored, aggs = refiner()
     aggs[a] = 2
     check_aggregates(ignored)
+    # a counted Q-block may not go back to uncounted
+    broken, _aggs = refiner()
+    broken.agg[broken.qof[0][broken.blk[d]]] = None
+    with pytest.raises(AssertionError):
+        check_aggregates(broken)
 
 
 def test_one_vertex_blocks_build_no_aggregates(monkeypatch):
@@ -302,8 +328,12 @@ def test_one_vertex_blocks_build_no_aggregates(monkeypatch):
         return pair(cls, first, second)
 
     monkeypatch.setattr(DegreeAggregate, "pair", classmethod(counting))
-    _Refiner(FuzzyGraph(GODEL, names, {}, edges))
-    assert pairs > 0  # few, large blocks: some source has two edges into one
+    # each vertex with a twin: no block is left with one vertex, and over a
+    # run some source has two edges into one Q-block the loop counts
+    twin = {name: f"w{name[1:]}" for name in names}
+    twins = [(twin[x], label, twin[y], d) for x, label, y, d in edges]
+    _Refiner(FuzzyGraph(GODEL, names + list(twin.values()), {}, edges + twins)).run()
+    assert pairs > 0
     pairs = 0
 
     labels = {name: {"A": F(k + 1, n + 1)} for k, name in enumerate(names)}
@@ -364,6 +394,106 @@ def test_compcb_equals_oracle_as_blocks_become_one_vertex(monkeypatch):
         assert fast == naive_coarsest_stable_refinement(g), f"case {k}"
         assert is_stable(g, fast), f"case {k}"
     assert made["moved"] > 0 and made["left"] > 0, made
+
+
+def _many_labels(seed: int, alg) -> FuzzyGraph:
+    """Three to eight edge labels over initial blocks of one vertex mostly,
+    some of two or five, with each label's edges into a few targets: many
+    initial Q-blocks, few of them ever split."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    names = [f"v{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    labels, level, k = {}, 0, 0
+    while k < n:
+        size = rng.choice((1, 1, 1, 1, 2, 5))
+        level += 1
+        for name in order[k:k + size]:
+            labels[name] = {"A": F(level, n + 1)}
+        k += size
+    pool = rng.choice((("1",), ("1/2", "1"), ("1/4", "1/2", "1")))
+    edges = []
+    for li in range(rng.randint(3, 8)):
+        targets = rng.sample(names, rng.randint(2, 4))
+        edges += [(x, f"r{li}", y, rng.choice(pool))
+                  for x in names for y in rng.sample(targets, rng.randint(0, 2))]
+    return FuzzyGraph(alg, names, labels, edges)
+
+
+def test_setup_signature_is_the_max_per_q_block_in_any_edge_order():
+    # a and b have the same sups into each initial block, 1/2 into {u} and
+    # 1 into {t1, t2}, reached in opposite edge orders: a's 1 comes after
+    # its signature became a dict, b's first.  So do c and d under s, with
+    # c's first edge at top's rank.  The set-up split must keep both pairs
+    g = FuzzyGraph(GODEL, ["a", "b", "u", "t1", "t2", "c", "d"],
+                   {"u": {"C": "1"}, "t1": {"B": "1"}, "t2": {"B": "1"}}, [
+        ("a", "r", "u", "0.5"), ("a", "r", "t1", "0.5"), ("a", "r", "t2", "1"),
+        ("b", "r", "u", "0.5"), ("b", "r", "t1", "1"), ("b", "r", "t2", "0.5"),
+        ("c", "s", "t1", "1"), ("c", "s", "t2", "0.5"),
+        ("d", "s", "t1", "0.5"), ("d", "s", "t2", "1"),
+    ])
+    pairs = [frozenset(map(g.vertex_id, pair)) for pair in ("ab", "cd")]
+    start = [frozenset(verts) for verts in _Refiner(g).members]
+    assert all(pair in start for pair in pairs), start
+    assert compcb(g) == naive_coarsest_stable_refinement(g)
+
+
+def test_compcb_equals_oracle_with_many_labels(monkeypatch):
+    # initial Q-blocks are counted on their first split, with the aggregate
+    # check after every step; some runs must count some, and leave others
+    counted = {"split": 0, "left": 0}
+    run = _Refiner.run
+
+    def tally(self, on_iteration=None):
+        initial = len(self.labels) * len(self.g.initial_partition())
+        p = run(self, on_iteration)
+        split = sum(aggs is not None for aggs in self.agg[:initial])
+        counted["split"] += split
+        counted["left"] += initial - split
+        return p
+
+    monkeypatch.setattr(_Refiner, "run", tally)
+    for k in range(200):
+        g = _many_labels(9000 + k, FAMILY_BACKENDS[k % 3])
+        assert 3 <= len(g.edge_label_names) <= 8, f"case {k}"
+        assert compcb_checked(g) == naive_coarsest_stable_refinement(g), f"case {k}"
+    assert counted["split"] > 0 and counted["left"] > counted["split"], counted
+
+
+def test_aggregates_counted_only_for_split_initial_q_blocks(monkeypatch):
+    # set-up makes no aggregate; the loop counts an initial Q-block on its
+    # first split, so after a run the counted initial Q-blocks are exactly
+    # the initial Q-blocks it split
+    monkeypatch.syspath_prepend(str(BENCH))
+    import inputs
+
+    split: set[int] = set()
+    split_q = _Refiner._split_q
+
+    def recording(self, qid, y_prime):
+        split.add(qid)
+        return split_q(self, qid, y_prime)
+
+    monkeypatch.setattr(_Refiner, "_split_q", recording)
+    social = interpretation_from_json(inputs.social(1).to_json(), GODEL)
+    g = interpretation_to_graph(social, FeatureSet.from_names(["baaz", "inverse"]))
+    refiner = _Refiner(g)
+    initial = len(refiner.agg)
+    assert initial == len(g.edge_label_names) * len(g.initial_partition())
+    assert all(aggs is None for aggs in refiner.agg)
+    refiner.run()
+    counted = [qid for qid, aggs in enumerate(refiner.agg[:initial]) if aggs is not None]
+    assert counted == sorted(qid for qid in split if qid < initial)
+    assert len(counted) == 376  # of 12,372 initial Q-blocks
+
+    # one edge per label and n = L: a million initial Q-blocks, none counted
+    n = 1000
+    names = [f"v{k}" for k in range(n)]
+    g = FuzzyGraph(GODEL, names, {}, [(names[k], f"r{k}", names[(k + 1) % n], "1")
+                                      for k in range(n)])
+    refiner = _Refiner(g)
+    assert len(refiner.agg) == n * n
+    assert all(aggs is None for aggs in refiner.agg)
 
 
 def test_iteration_count_bounded():
