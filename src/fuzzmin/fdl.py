@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, _OperatorMemo, read_json
 from .errors import FeatureError, UsageError
-from .graph import FuzzyGraph, _Reader, _Tables, _Triples, _by_source, _ids, _object_of, _ranked_store
+from .graph import (FuzzyGraph, _as_sequence, _column, _EdgeLists, _Reader, _Tables, _Triples,
+                    _by_source, _ids, _object_of, _ranked_store, _union_store)
 from .partition import Partition, ordered_blocks
 from .record import Record
 from .refine import compcb
@@ -249,13 +250,13 @@ class Interpretation:
     and role degrees ascending, then top if no concept or role has it.
     Concept assignments are {element: rank} tables, bottom left out and
     read as bottom.  Role instances, of positive degrees, are held once:
-    per-target lists (`graph._ranked_store` builds both kinds from `k`s) and
-    per-source lists (`_out`).  Immutable.
+    per-target lists and per-source lists (`_out`).  Immutable.
 
     The constructor takes names and degree text and validates both; it is
-    the boundary for JSON documents and generators.  It reads every degree
-    through one `graph._Reader`, so each distinct degree text is parsed
-    once per interpretation.
+    the boundary for JSON documents and generators.  One `graph._Reader`
+    ranks the document's degrees, each distinct text parsed once, before
+    any entry is checked; then one checked loop per concept and per role
+    writes each entry's rank into its table or per-target list.
     """
 
     def __init__(
@@ -272,13 +273,15 @@ class Interpretation:
         self._id = _ids(names, "element")
         element_id = self.element_id
         individual_ids = {a: element_id(elem) for a, elem in (individuals or {}).items()}
-        reader = _Reader(algebra)
         concepts = concepts or {}
+        roles = {rname: _as_sequence(entries) for rname, entries in (roles or {}).items()}
+        reader = _Reader(algebra, (table.values() for table in concepts.values()),
+                         (_column(roles.values(), 2),))
         tables = reader.tables(((cname, element_id(elem), degree)
                                 for cname, assignment in concepts.items()
                                 for elem, degree in assignment.items()), concepts)
-        triples = reader.triples(self._id, (roles or {}).items(), "role instance {1}({0},{2})")
-        self._build(algebra, names, individual_ids, tables, triples, reader.degrees)
+        incoming = reader.lists(self._id, roles.items(), "role instance {1}({0},{2})")
+        self._build(algebra, names, individual_ids, tables, incoming, reader.levels, reader.l)
 
     @classmethod
     def _from_ids(
@@ -288,28 +291,29 @@ class Interpretation:
         individuals: dict[str, int],
         concepts: _Tables,
         roles: _Triples,
-        degrees: Sequence[Degree],
+        levels: tuple[Degree, ...],
     ) -> "Interpretation":
-        """An interpretation from element ids and checked degrees: per
-        concept an {x: k} table without bottom, per role the (source,
-        target, k) triples, `k` indexing `degrees` (`graph._ranked_store`).
-        Names are checked for duplicates."""
+        """An interpretation from element ids and checked ranks into
+        `levels`, an ascending tuple: per concept an {x: rank} table without
+        bottom, per role the (source, target, rank) triples.  `levels` is
+        compacted to the ranks in use (`graph._ranked_store`).  Names are
+        checked for duplicates."""
         i = cls.__new__(cls)
         i._id = _ids(names, "element")
-        i._build(algebra, names, individuals, concepts, roles, degrees)
+        i._build(algebra, names, individuals, *_ranked_store(len(names), concepts, roles, levels))
         return i
 
     def _build(self, algebra: Algebra, names: tuple[str, ...], individuals: dict[str, int],
-               concepts: _Tables, roles: _Triples, degrees: Sequence[Degree]) -> None:
+               concepts: _Tables, incoming: dict[str, _EdgeLists], levels: tuple[Degree, ...],
+               l: int) -> None:
         self.algebra = algebra
         self.names: tuple[str, ...] = names
         self.n = len(names)
         self.individuals: dict[str, int] = individuals
         self.individual_names: tuple[str, ...] = tuple(sorted(individuals))
         self.concept_names: tuple[str, ...] = tuple(sorted(concepts))
-        self.role_names: tuple[str, ...] = tuple(sorted(roles))
-        self._concepts, self._in, self.levels, self._l = _ranked_store(
-            algebra, self.n, concepts, roles, degrees)
+        self.role_names: tuple[str, ...] = tuple(sorted(incoming))
+        self._concepts, self._in, self.levels, self._l = concepts, incoming, levels, l
         self._out: dict[str, tuple] = {}  # per role, its per-source lists, made on first use
 
         kind_of: dict[str, str] = {}
@@ -332,9 +336,14 @@ class Interpretation:
             raise UsageError(f"unknown individual {a!r}") from None
 
     def concept_degree(self, cname: str, x: int) -> Degree:
-        if cname not in self._concepts:
-            raise UsageError(f"unknown concept name {cname!r}")
-        return self.levels[self._concepts[cname].get(x, 0)]
+        return self.levels[self._concept_table(cname).get(x, 0)]
+
+    def _concept_table(self, cname: str) -> dict[int, int]:
+        """Concept cname's {element: rank} table, bottom left out."""
+        try:
+            return self._concepts[cname]
+        except KeyError:
+            raise UsageError(f"unknown concept name {cname!r}") from None
 
     def role_instances(self, rname: str) -> Mapping[tuple[int, int], Degree]:
         """A read-only {(x, y): degree} copy of role rname, by target."""
@@ -613,7 +622,11 @@ def _concept_values(i: Interpretation, concept: ConceptNode, ops: _OperatorMemo)
         value = alg.check(concept.value)
         return [value] * n
     if isinstance(concept, ConceptName):
-        return [i.concept_degree(concept.name, x) for x in range(n)]
+        table, levels = i._concept_table(concept.name), i.levels
+        values = [levels[0]] * n
+        for x, rank in table.items():
+            values[x] = levels[rank]
+        return values
     if isinstance(concept, Nominal):
         elem = i.individual_element(concept.individual)
         return [alg.top if x == elem else alg.bottom for x in range(n)]
@@ -741,21 +754,10 @@ def largest_bisimulation(
         p = compcb(interpretation_to_graph(i1, phi))
         return {(x, y) for block in p.blocks for x in block for y in block}
 
-    # both sides' encodings, i2's ids shifted past i1's and its ranks past
-    # i1.levels; a concept may be non-bottom on one side only
-    n1 = i1.n
-    tables: _Tables = {}
-    triples: _Triples = {}
-    for shift, k0, (labels, edges) in ((0, 0, _encoding(i1, phi)),
-                                       (n1, len(i1.levels), _encoding(i2, phi))):
-        for label, table in labels.items():
-            tables.setdefault(label, {}).update({x + shift: rank + k0 for x, rank in table.items()})
-        for label, lists in edges.items():
-            triples.setdefault(label, []).extend(
-                (s + shift, t + shift, rank + k0) for t, sources in enumerate(lists) for s, rank in sources)
     # element names may repeat across the sides; the engine reads only ids
-    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, *_ranked_store(
-        i1.algebra, n1 + i2.n, tables, triples, i1.levels + i2.levels))
+    n1 = i1.n
+    union = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, *_union_store(
+        (n1, *_encoding(i1, phi), i1.levels), (i2.n, *_encoding(i2, phi), i2.levels)))
     pairs: set[tuple[int, int]] = set()
     for block in compcb(union).blocks:
         left = [x for x in block if x < n1]

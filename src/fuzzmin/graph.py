@@ -5,14 +5,17 @@ holding strictly positive degrees.  Graphs are immutable after construction
 and all degrees belong to one shared algebra.  Every degree is held as a
 rank into the graph's one `levels` tuple, and both are stored per label: a
 vertex label as one {vertex: rank} table (absent = bottom), an edge label
-as per-target incoming lists.  `_ranked_store` builds both from
-{x: k} tables and (source, target, k) triples, `k` indexing a sequence of
-degrees, for graphs and interpretations alike; `_Reader` reads a
-document's degrees into such `k`s.
+as per-target incoming lists.  For graphs and interpretations alike,
+`_Reader` reads a document: it ranks the document's degrees first, then
+writes each entry's rank straight into its table or list.
+`_ranked_store` builds a store derived from checked ones, from {x: rank}
+tables and (source, target, rank) triples, compacting `levels` to the
+ranks in use.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Algebra, Degree, read_json
@@ -28,108 +31,260 @@ class GraphStats(Record):
 
 
 _EdgeLists = tuple[tuple[tuple[int, int], ...], ...]  # per vertex, (vertex, rank) pairs
-_Tables = dict[str, dict[int, int]]  # per label, {x: k or rank}, without bottom
-_Triples = dict[str, list[tuple[int, int, int]]]  # per label, (source, target, k) triples
+_Tables = dict[str, dict[int, int]]  # per label, {x: rank}, without bottom
+_Triples = dict[str, list[tuple[int, int, int]]]  # per label, (source, target, rank) triples
 
 
-def _ranked_store(algebra: Algebra, n: int, tables: _Tables, triples: _Triples,
-                  degrees: Sequence[Degree]
+def _ranked_store(n: int, tables: _Tables, triples: _Triples, levels: tuple[Degree, ...]
                   ) -> tuple[_Tables, dict[str, _EdgeLists], tuple[Degree, ...], int]:
-    """The ranked store of per-label {x: k} tables and (source, target, k)
-    triples over n vertices, degree `degrees[k]`: the tables as {x: rank}
-    tables; per label, per-target (source, rank) lists in the triples'
-    order; `levels`, which ranks index: bottom, then every distinct degree
-    in use ascending, top always among them, so `len(levels) - 1` is top's
-    rank; and `l`, the number of distinct edge degrees.  Each k in use is
-    hashed once, by value: equal degrees get one rank."""
-    edge_ks = {k for found in triples.values() for _, _, k in found}
-    by_value: dict[Degree, list[int]] = {algebra.top: []}
-    for k in edge_ks.union(*(table.values() for table in tables.values())):
-        by_value.setdefault(degrees[k], []).append(k)
-    ascending = sorted(by_value)
-    rank_of = [0] * len(degrees)
-    for rank, degree in enumerate(ascending, 1):
-        for k in by_value[degree]:
-            rank_of[k] = rank
+    """The store of a structure derived from checked ones: per-label {x:
+    rank} tables and (source, target, rank) triples over n vertices, ranks
+    into `levels` (ascending and distinct, bottom first, top last), with
+    `levels` compacted to the ranks in use and top: the tables and, per
+    label, per-target (source, rank) lists in the triples' order, both in
+    the compacted ranks; the compacted `levels`; and `l`, the number of
+    distinct edge degrees.  Only ints are sorted; no degree is hashed."""
+    edge_ranks: set[int] = set()
+    for found in triples.values():
+        edge_ranks.update(map(itemgetter(2), found))
+    top = len(levels) - 1
+    kept = sorted(edge_ranks.union(*map(dict.values, tables.values()), (top,)))
+    rank_of: Sequence[int] = range(top + 1)
+    if len(kept) < top:  # some level is not in use
+        rank_of = [0] * (top + 1)
+        for new, rank in enumerate(kept, 1):
+            rank_of[rank] = new
+        tables = {label: {x: rank_of[rank] for x, rank in table.items()}
+                  for label, table in tables.items()}
+        levels = (levels[0], *map(levels.__getitem__, kept))
     incoming: dict[str, _EdgeLists] = {}
     for label, found in triples.items():
         lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for s, t, k in found:
-            lists[t].append((s, rank_of[k]))
+        for s, t, rank in found:
+            lists[t].append((s, rank_of[rank]))
         incoming[label] = tuple(map(tuple, lists))
-    ranked = {label: {x: rank_of[k] for x, k in table.items()} for label, table in tables.items()}
-    return ranked, incoming, (algebra.bottom, *ascending), len({rank_of[k] for k in edge_ks})
+    return tables, incoming, levels, len(edge_ranks)
+
+
+def _merged_levels(a: tuple[Degree, ...], b: tuple[Degree, ...]
+                   ) -> tuple[tuple[Degree, ...], list[int], list[int]]:
+    """The ascending distinct union of two `levels` tuples, read in one
+    pass, and each side's ranks in it.  Both end with top, so they run out
+    together."""
+    levels: list[Degree] = []
+    rank_of_a: list[int] = []
+    rank_of_b: list[int] = []
+    i = j = 0
+    while i < len(a):
+        low = min(a[i], b[j])
+        if a[i] == low:
+            rank_of_a.append(len(levels))
+            i += 1
+        if b[j] == low:
+            rank_of_b.append(len(levels))
+            j += 1
+        levels.append(low)
+    return tuple(levels), rank_of_a, rank_of_b
+
+
+_Side = tuple[int, _Tables, Mapping[str, _EdgeLists], tuple[Degree, ...]]  # n, tables, lists, levels
+
+
+def _union_store(first: _Side, second: _Side
+                 ) -> tuple[_Tables, dict[str, _EdgeLists], tuple[Degree, ...], int]:
+    """The store of the disjoint union of two stores, each given as its n,
+    {x: rank} tables, per-target lists and `levels`: the second side's
+    vertices shifted past the first's, each side's ranks mapped into the
+    two `levels` merged in one pass.  A label may have a table on one side
+    only."""
+    levels, *rank_ofs = _merged_levels(first[3], second[3])
+    tables: _Tables = {}
+    triples: _Triples = {}
+    for shift, rank_of, (_, labels, edges, _) in zip((0, first[0]), rank_ofs, (first, second)):
+        for label, table in labels.items():
+            tables.setdefault(label, {}).update({x + shift: rank_of[rank] for x, rank in table.items()})
+        for label, lists in edges.items():
+            triples.setdefault(label, []).extend(
+                (s + shift, t + shift, rank_of[rank]) for t, sources in enumerate(lists) for s, rank in sources)
+    return _ranked_store(first[0] + second[0], tables, triples, levels)
+
+
+_TEXT = frozenset((str,))
+
+
+def _keys(columns: Iterable[Iterable]) -> dict:
+    """{key: value} for the distinct degree keys in `columns`, each read
+    twice: a `str` text is its own key, any other value is keyed by its id,
+    and the dict keeps it alive, so no id is reused while the document is
+    read.  A column of texts alone is taken in at C speed; other values
+    are never hashed by value (`1`, `1.0` and `True` are equal, and a
+    `Fraction` hashes slowly)."""
+    keys: dict = {}
+    for column in columns:
+        if set(map(type, column)) <= _TEXT:
+            texts = set(column)
+            keys.update(zip(texts, texts))
+        else:
+            keys.update({value if type(value) is str else id(value): value for value in column})
+    return keys
+
+
+def _column(groups: Iterable[Sequence], at: int) -> list:
+    """Item `at` of every entry in `groups`, which is read twice, for
+    `_Reader`'s ranking step.  The checked loop reports an entry of the
+    wrong shape, so one that cannot be indexed is skipped here."""
+    try:
+        return [entry[at] for entries in groups for entry in entries]
+    except (TypeError, IndexError, KeyError):
+        return [entry[at] for entries in groups for entry in entries
+                if isinstance(entry, (list, tuple)) and len(entry) > at]
 
 
 class _Reader:
-    """One document's degree reader: `k(value)` checks a degree once and
-    gives its index into `degrees`, 0 for bottom, as in `levels`.  A `str`
-    text is parsed once per text, any other value once per object: the
-    reader keeps each value it reads, so no id it keys on is reused.  So
-    `1.0` after `1` is still rejected, and equal degrees under two texts
-    ("0.5", "1/2") or objects get two `k`s, which `_ranked_store` ranks
-    alike.  A value that fails is not kept and fails again at each
-    occurrence."""
+    """One document's degrees, ranked before any entry is checked.
 
-    def __init__(self, algebra: Algebra):
-        self.parse = algebra.parse_degree
-        self.degrees: list[Degree] = [algebra.bottom]
-        self._ks: dict = {}  # per text, or per id of another value, its k
-        self._kept: list = []  # every value read
+    The ranking step takes the document's columns of vertex-label or
+    concept values (`columns`) and of edge or role values (`edge_columns`)
+    and parses each distinct key once: a `str` text once per text, any
+    other value once per object (`_keys`).  A key that fails to parse stays
+    unranked.  The parsed degrees are ranked by value into `levels`:
+    bottom, the distinct degrees ascending, then top, always kept.  So
+    equal degrees under two texts ("0.5", "1/2") or objects get one rank,
+    and `1.0` after `1` is still rejected.
 
-    def k(self, value) -> int:
-        key = value if type(value) is str else id(value)
-        k = self._ks.get(key)
-        if k is None:
-            degree = self.parse(value)
-            self._kept.append(value)
-            k = self._ks[key] = len(self.degrees) if degree else 0  # bottom is falsy
-            if k:
-                self.degrees.append(degree)
-        return k
+    Then one checked loop per label (`tables`, `lists`) writes each entry's
+    rank straight into the store.  An unranked value raises its own parse
+    error when its entry is reached, so the first fault in the order of
+    the checks is the one reported; `l` counts the distinct edge degrees.
+    The loops must read the value objects the ranking step read, so
+    entries come in lists or tuples (`_as_sequence`), not iterators."""
+
+    def __init__(self, algebra: Algebra, columns: Iterable[Iterable], edge_columns: Iterable[Iterable]):
+        parse = self.parse = algebra.parse_degree
+        self._edge_keys = _keys(edge_columns)
+        keys = self._values = _keys(columns)  # keeps every value read
+        keys.update(self._edge_keys)
+        ranks: dict = {}  # per text, or per id of another value, its rank
+        by_value: dict[Degree, list] = {}
+        for key, value in keys.items():
+            try:
+                degree = parse(value)
+            except UsageError:
+                continue  # raised again when the loop reaches its entry
+            if degree:  # bottom is falsy
+                by_value.setdefault(degree, []).append(key)
+            else:
+                ranks[key] = 0
+        ascending = sorted(by_value)
+        for rank, degree in enumerate(ascending, 1):
+            for key in by_value[degree]:
+                ranks[key] = rank
+        if ascending and ascending[-1] == algebra.top:
+            ascending.pop()
+        ascending.append(algebra.top)  # always kept, as the algebra's own object
+        self.ranks = ranks
+        self.levels: tuple[Degree, ...] = (algebra.bottom, *ascending)
+
+    @property
+    def l(self) -> int:
+        """The number of distinct edge degrees, once every entry is read."""
+        return len({self.ranks[key] for key in self._edge_keys})
+
+    def rank(self, value) -> int:
+        """A read value's rank; a value the ranking step could not parse
+        raises its own parse error here."""
+        rank = self.ranks.get(value if type(value) is str else id(value))
+        if rank is None:
+            self.parse(value)
+            raise AssertionError(f"degree {value!r} was read but not ranked")
+        return rank
 
     def tables(self, entries: Iterable[tuple[str, int, object]], labels: Iterable[str] = ()
                ) -> _Tables:
-        """Per label, the {x: k} table of (label, x, degree) entries without
-        bottom degrees; each of `labels`, and each label an entry names,
-        gets a table, an empty one included."""
+        """Per label, the {x: rank} table of (label, x, degree) entries
+        without bottom degrees; each of `labels`, and each label an entry
+        names, gets a table, an empty one included."""
         tables: _Tables = {label: {} for label in labels}
-        read = self.k
+        ranks = self.ranks
         for label, x, value in entries:
-            k = read(value)
+            rank = ranks.get(value if type(value) is str else id(value))
+            if rank is None:
+                rank = self.rank(value)
             table = tables.setdefault(label, {})
-            if k:
-                table[x] = k
+            if rank:
+                table[x] = rank
         return tables
 
-    def triples(self, ids: Mapping[str, int], groups: Iterable[tuple[str, Iterable]],
-                name: str) -> _Triples:
-        """Per label, [source, target, degree] entries, read in one pass into
-        `_ranked_store`'s triples.  Checks each entry's shape, names, degree
-        (not bottom) and pair (new under its label); `name.format(source,
-        label, target)` names it in errors."""
-        n, read = len(ids), self.k
-        triples: _Triples = {}
+    def lists(self, ids: Mapping[str, int], groups: Iterable[tuple[str, Sequence]],
+              name: str) -> dict[str, _EdgeLists]:
+        """Per label, the per-target (source, rank) lists of [source, target,
+        degree] entries, in the entries' order.  Checks each entry's shape,
+        degree (not bottom), names and pair (new under its label), in that
+        order; `name.format(source, label, target)` names it in errors.  The
+        loop checks all but the pair, which is checked once the label's
+        lists are built; on any fault `_fault` reads the entries again to
+        report the first."""
+        n, ranks = len(ids), self.ranks
+        incoming: dict[str, _EdgeLists] = {}
         for label, entries in groups:
-            seen: set[int] = set()
-            found = triples[label] = []
+            lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
             for entry in entries:
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                        and isinstance(entry[0], str) and isinstance(entry[1], str)):
-                    raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
-                src, tgt, value = entry
-                k = read(value)
-                if not k:
-                    raise UsageError(f"{name.format(src, label, tgt)} has degree 0; omit it")
                 try:
-                    s, t = ids[src], ids[tgt]
-                except KeyError as unknown:
-                    raise UsageError(f"unknown name {unknown} in {name.format(src, label, tgt)}") from None
-                if s * n + t in seen:
-                    raise UsageError(f"duplicate {name.format(src, label, tgt)}")
-                seen.add(s * n + t)
-                found.append((s, t, k))
-        return triples
+                    src, tgt, value = entry
+                    s, t = ids[src], ids[tgt]  # a name found is a str
+                except (TypeError, ValueError, KeyError):
+                    self._fault(ids, label, entries, entry, name)
+                rank = ranks.get(value if type(value) is str else id(value))
+                if not (rank and isinstance(entry, (list, tuple))):
+                    self._fault(ids, label, entries, entry, name)
+                lists[t].append((s, rank))
+            if _repeats_a_source(lists):
+                self._fault(ids, label, entries, None, name)
+            incoming[label] = tuple(map(tuple, lists))
+        return incoming
+
+    def _fault(self, ids: Mapping[str, int], label: str, entries: Sequence, entry,
+               name: str) -> None:
+        """Raise the first fault among a label's entries up to `entry`, the
+        first that failed the loop's checks (None: past the last): a pair
+        repeated before it, else its shape, then its degree, then its
+        names.  The entries before it passed every check but the pair's."""
+        seen: set[tuple[str, str]] = set()
+        for earlier in entries:
+            if earlier is entry:
+                break
+            src, tgt, _ = earlier
+            if (src, tgt) in seen:
+                raise UsageError(f"duplicate {name.format(src, label, tgt)}")
+            seen.add((src, tgt))
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
+        src, tgt, value = entry
+        entry_name = name.format(src, label, tgt)
+        if not self.ranks.get(value if type(value) is str else id(value)):
+            self.rank(value)
+            raise UsageError(f"{entry_name} has degree 0; omit it")
+        unknown = src if src not in ids else tgt
+        raise UsageError(f"unknown name {unknown!r} in {entry_name}")
+
+
+def _repeats_a_source(lists: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Whether some per-target list holds a source twice, that is, whether
+    a (source, target) pair repeats; one int per vertex, no set of pairs."""
+    last = [-1] * len(lists)  # per source, the last target it was seen at
+    for t, sources in enumerate(lists):
+        if len(sources) > 1:
+            for s, _ in sources:
+                if last[s] == t:
+                    return True
+                last[s] = t
+    return False
+
+
+def _as_sequence(entries: Iterable) -> Sequence:
+    """Entries as a list or tuple, which `_Reader` can read twice."""
+    return entries if isinstance(entries, (list, tuple)) else list(entries)
 
 
 def _ids(names: tuple[str, ...], kind: str) -> dict[str, int]:
@@ -178,9 +333,12 @@ class FuzzyGraph:
     ):
         names = tuple(vertices)
         self._id = _ids(names, "vertex")
-        reader = _Reader(algebra)
+        vertex_labels = vertex_labels or {}
+        edges = _as_sequence(edges)
+        reader = _Reader(algebra, (labels.values() for labels in vertex_labels.values()),
+                         (_column((edges,), 3),))
         labels = reader.tables(  # a vertex name is checked also when it has no label
-            (label, v, degree) for vname, assignment in (vertex_labels or {}).items()
+            (label, v, degree) for vname, assignment in vertex_labels.items()
             for v in (self.vertex_id(vname),) for label, degree in assignment.items())
         groups: dict[str, list[tuple[str, str, Degree]]] = {}
         for entry in edges:
@@ -188,9 +346,8 @@ class FuzzyGraph:
                     and isinstance(entry[1], str) and isinstance(entry[2], str)):
                 raise UsageError(f"edge {entry!r} must be [from, label, to, degree]")
             groups.setdefault(entry[1], []).append((entry[0], entry[2], entry[3]))
-        triples = reader.triples(self._id, groups.items(), "edge ({0},{1},{2})")
-        self._build(algebra, names, *_ranked_store(algebra, len(names), labels, triples,
-                                                   reader.degrees))
+        incoming = reader.lists(self._id, groups.items(), "edge ({0},{1},{2})")
+        self._build(algebra, names, labels, incoming, reader.levels, reader.l)
 
     @classmethod
     def _from_ids(cls, algebra: Algebra, names: tuple[str, ...], labels: _Tables,

@@ -5,7 +5,9 @@ fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
 invariant checked after each `compcb` iteration, the partition, graph and
 aggregate reads only tests need (`refines`, `label_vector`,
 `aggregate_size`), the degree-keyed oracle for an interpretation's concept
-degrees, initial partition and statistics (`degree_oracle`), the dense
+degrees, initial partition and statistics (`degree_oracle`), the
+two-pass document reader kept as the oracle for `graph._Reader`
+(`interpretation_by_triples`, `graph_by_triples`), the dense
 evaluator kept as the differential oracle for `eval_concept` and
 `eval_role`, and the Kleene iteration that closed `R*` before the
 evaluator's one search per star, kept as that search's oracle."""
@@ -34,6 +36,7 @@ from fuzzmin.fdl import (
     block_name,
 )
 from fuzzmin.generate import GeneratorParams, random_graph
+from fuzzmin.graph import _ids
 from fuzzmin.refine import _Refiner
 
 # baseline feature configuration used by most golden tests
@@ -195,6 +198,131 @@ def prune_by_names(i, phi) -> Interpretation:
     }
     individuals = {a: i.names[x] for a, x in i.individuals.items()}
     return Interpretation(i.algebra, names, individuals, concepts, roles)
+
+
+# --- the two-pass document reader --------------------------------------------
+
+class TriplesReader:
+    """The document reader `graph._Reader` replaced: `k(value)` checks a
+    degree once and gives its index into `degrees`, 0 for bottom; a `str`
+    text is parsed once per text, any other value once per object, each
+    value kept so that no id is reused.  `tables` and `triples` read the
+    entries into `k`s, which `ranked_store_by_ks` then ranks in a second
+    pass."""
+
+    def __init__(self, algebra):
+        self.parse = algebra.parse_degree
+        self.degrees = [algebra.bottom]
+        self._ks: dict = {}
+        self._kept: list = []
+
+    def k(self, value) -> int:
+        key = value if type(value) is str else id(value)
+        k = self._ks.get(key)
+        if k is None:
+            degree = self.parse(value)
+            self._kept.append(value)
+            k = self._ks[key] = len(self.degrees) if degree else 0
+            if k:
+                self.degrees.append(degree)
+        return k
+
+    def tables(self, entries, labels=()) -> dict:
+        tables: dict = {label: {} for label in labels}
+        for label, x, value in entries:
+            k = self.k(value)
+            table = tables.setdefault(label, {})
+            if k:
+                table[x] = k
+        return tables
+
+    def triples(self, ids, groups, name) -> dict:
+        n = len(ids)
+        triples: dict = {}
+        for label, entries in groups:
+            seen: set = set()
+            found = triples[label] = []
+            for entry in entries:
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                        and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                    raise UsageError(f"entry {entry!r} of {label!r} must be [from, to, degree]")
+                src, tgt, value = entry
+                k = self.k(value)
+                if not k:
+                    raise UsageError(f"{name.format(src, label, tgt)} has degree 0; omit it")
+                try:
+                    s, t = ids[src], ids[tgt]
+                except KeyError as unknown:
+                    raise UsageError(f"unknown name {unknown} in {name.format(src, label, tgt)}") from None
+                if s * n + t in seen:
+                    raise UsageError(f"duplicate {name.format(src, label, tgt)}")
+                seen.add(s * n + t)
+                found.append((s, t, k))
+        return triples
+
+
+def ranked_store_by_ks(algebra, n, tables, triples, degrees) -> tuple:
+    """The second pass: the tables' and triples' `k`s ranked by value into
+    `levels` (bottom, the distinct degrees ascending, top), with the
+    {x: rank} tables, the per-target (source, rank) lists and `l`."""
+    edge_ks = {k for found in triples.values() for _, _, k in found}
+    by_value: dict = {algebra.top: []}
+    for k in edge_ks.union(*(table.values() for table in tables.values())):
+        by_value.setdefault(degrees[k], []).append(k)
+    ascending = sorted(by_value)
+    rank_of = [0] * len(degrees)
+    for rank, degree in enumerate(ascending, 1):
+        for k in by_value[degree]:
+            rank_of[k] = rank
+    incoming: dict = {}
+    for label, found in triples.items():
+        lists: list = [[] for _ in range(n)]
+        for s, t, k in found:
+            lists[t].append((s, rank_of[k]))
+        incoming[label] = tuple(map(tuple, lists))
+    ranked = {label: {x: rank_of[k] for x, k in table.items()} for label, table in tables.items()}
+    return ranked, incoming, (algebra.bottom, *ascending), len({rank_of[k] for k in edge_ks})
+
+
+def interpretation_by_triples(algebra, domain, individuals=None, concepts=None, roles=None):
+    """`Interpretation(algebra, domain, individuals, concepts, roles)` read by
+    the two-pass reader: the same checks in the same order."""
+    if not domain:
+        raise UsageError("interpretation domain must be non-empty")
+    names = tuple(domain)
+    i = Interpretation.__new__(Interpretation)
+    i._id = _ids(names, "element")
+    individual_ids = {a: i.element_id(elem) for a, elem in (individuals or {}).items()}
+    reader = TriplesReader(algebra)
+    concepts = concepts or {}
+    tables = reader.tables(((cname, i.element_id(elem), degree)
+                            for cname, assignment in concepts.items()
+                            for elem, degree in assignment.items()), concepts)
+    triples = reader.triples(i._id, (roles or {}).items(), "role instance {1}({0},{2})")
+    i._build(algebra, names, individual_ids,
+             *ranked_store_by_ks(algebra, len(names), tables, triples, reader.degrees))
+    return i
+
+
+def graph_by_triples(algebra, vertices, vertex_labels=None, edges=()):
+    """`FuzzyGraph(algebra, vertices, vertex_labels, edges)` read by the
+    two-pass reader: the same checks in the same order."""
+    names = tuple(vertices)
+    g = FuzzyGraph.__new__(FuzzyGraph)
+    g._id = _ids(names, "vertex")
+    reader = TriplesReader(algebra)
+    labels = reader.tables(
+        (label, v, degree) for vname, assignment in (vertex_labels or {}).items()
+        for v in (g.vertex_id(vname),) for label, degree in assignment.items())
+    groups: dict = {}
+    for entry in edges:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 4 and isinstance(entry[0], str)
+                and isinstance(entry[1], str) and isinstance(entry[2], str)):
+            raise UsageError(f"edge {entry!r} must be [from, label, to, degree]")
+        groups.setdefault(entry[1], []).append((entry[0], entry[2], entry[3]))
+    triples = reader.triples(g._id, groups.items(), "edge ({0},{1},{2})")
+    g._build(algebra, names, *ranked_store_by_ks(algebra, len(names), labels, triples, reader.degrees))
+    return g
 
 
 # --- out-adjacency oracles ---------------------------------------------------

@@ -55,14 +55,15 @@ def test_same_bad_text_raises_every_time(alg):
                 Interpretation(alg, ["x", "y"], roles={"r": [("x", "y", text)]})
             with pytest.raises(UsageError):
                 FuzzyGraph(alg, ["x", "y"], {"x": {"A": text}})
-    # within one document: the constructors' reader keeps no failed text
-    reader = _Reader(alg)
+    # within one document: the constructors' reader ranks no failed text,
+    # and each occurrence raises again
+    reader = _Reader(alg, [["2/0", "7", "2/0"]], [["7"]])
     for _ in range(2):
         with pytest.raises(UsageError):
-            reader.k("2/0")
+            reader.rank("2/0")
         with pytest.raises(UsageError):
-            reader.k("7")
-    assert reader.degrees == [alg.bottom]
+            reader.rank("7")
+    assert reader.ranks == {} and reader.levels == (alg.bottom, alg.top)
 
 
 def test_repeated_huge_exponent_exits_2_fast(tmp_path, capsys):

@@ -70,14 +70,14 @@ def test_writer_escapes_names_as_json_dumps():
 
 
 def test_writer_formats_equal_degrees_held_as_distinct_objects():
-    # equal degrees under separate ks, as from the texts "1/2", "2/4" and
-    # "0.5", get one rank, so they write alike
+    # equal degrees under separate keys, as from distinct objects or the
+    # texts "1/2", "2/4" and "0.5", get one rank, so they write alike
     halves = [F(1, 2), F(2, 4), F(5, 10)]
     assert halves[0] == halves[1] == halves[2] and halves[0] is not halves[1]
-    i = Interpretation._from_ids(
-        GODEL, ("u", "v", "w"), {},
-        {"A": {0: 0, 1: 1, 2: 4}, "B": {2: 2}},
-        {"r": [(0, 1, 1), (1, 2, 2), (2, 0, 3)]}, (*halves, F(1), F(1, 3)),
+    i = Interpretation(
+        GODEL, ["u", "v", "w"],
+        concepts={"A": {"u": halves[0], "v": halves[1], "w": F(1, 3)}, "B": {"w": halves[2]}},
+        roles={"r": [("u", "v", halves[1]), ("v", "w", halves[2]), ("w", "u", F(1))]},
     )
     assert i.levels == (F(0), F(1, 3), F(1, 2), F(1))
     assert _written(i) == _oracle(i)
