@@ -65,13 +65,22 @@ def check_number_text(text: str) -> str:
 def read_json(path: str):
     """Parse a JSON file, raising UsageError on malformed or oversized input.
 
-    Bare decimals are read as exact Fractions (0.8 -> 4/5).
+    Bare decimals are read as exact Fractions (0.8 -> 4/5), one object per
+    distinct text, so a reader keying values by object parses each text once.
     """
+    decimals: dict[str, Fraction] = {}
+
+    def parse_float(text: str) -> Fraction:
+        value = decimals.get(text)
+        if value is None:
+            value = decimals[text] = Fraction(check_number_text(text))
+        return value
+
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(
                 f,
-                parse_float=lambda text: Fraction(check_number_text(text)),
+                parse_float=parse_float,
                 parse_int=lambda text: int(check_number_text(text)),
             )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -8,18 +8,18 @@ assertions and terminological axioms.
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Degree, _OperatorMemo, read_json
 from .errors import FeatureError, UsageError
-from .graph import (FuzzyGraph, _as_sequence, _column, _EdgeLists, _Reader, _Tables, _Triples,
-                    _by_source, _ids, _object_of, _ranked_store, _union_store)
+from .graph import (FuzzyGraph, _as_sequence, _column, _EdgeLists, _Reader, _Tables, _by_source,
+                    _ids, _object_of, _ranked_store, _union_store)
 from .partition import Partition, ordered_blocks
 from .record import Record
 from .refine import compcb
@@ -290,17 +290,17 @@ class Interpretation:
         names: tuple[str, ...],
         individuals: dict[str, int],
         concepts: _Tables,
-        roles: _Triples,
+        roles: dict[str, _EdgeLists],
         levels: tuple[Degree, ...],
     ) -> "Interpretation":
         """An interpretation from element ids and checked ranks into
         `levels`, an ascending tuple: per concept an {x: rank} table without
-        bottom, per role the (source, target, rank) triples.  `levels` is
+        bottom, per role the per-target (source, rank) lists.  `levels` is
         compacted to the ranks in use (`graph._ranked_store`).  Names are
         checked for duplicates."""
         i = cls.__new__(cls)
         i._id = _ids(names, "element")
-        i._build(algebra, names, individuals, *_ranked_store(len(names), concepts, roles, levels))
+        i._build(algebra, names, individuals, *_ranked_store(concepts, roles, levels))
         return i
 
     def _build(self, algebra: Algebra, names: tuple[str, ...], individuals: dict[str, int],
@@ -344,11 +344,6 @@ class Interpretation:
             return self._concepts[cname]
         except KeyError:
             raise UsageError(f"unknown concept name {cname!r}") from None
-
-    def role_instances(self, rname: str) -> Mapping[tuple[int, int], Degree]:
-        """A read-only {(x, y): degree} copy of role rname, by target."""
-        return MappingProxyType({(s, t): self.levels[rank] for t, sources in
-                                 enumerate(self._adjacency(rname, True)) for s, rank in sources})
 
     def _adjacency(self, rname: str, inverted: bool) -> tuple:
         """Per-element (successor, rank) lists of role rname or its inverse."""
@@ -825,15 +820,16 @@ def quotient(i: Interpretation, p: Partition) -> Interpretation:
 
     concepts = {cname: {block_of[x]: rank for x, rank in table.items() if firsts[block_of[x]] == x}
                 for cname, table in i._concepts.items()}
-    roles: _Triples = {}
+    roles: dict[str, _EdgeLists] = {}
     for rname in i.role_names:
-        sups: dict[tuple[int, int], int] = {}
+        sups: list[dict[int, int]] = [{} for _ in member_ids]  # per target block, {source block: rank}
         for by, sources in zip(block_of, i._in[rname]):
+            sup = sups[by]
             for x, rank in sources:
-                key = (block_of[x], by)
-                if rank > sups.get(key, 0):
-                    sups[key] = rank
-        roles[rname] = [(bx, by, rank) for (bx, by), rank in sups.items()]
+                bx = block_of[x]
+                if rank > sup.get(bx, 0):
+                    sup[bx] = rank
+        roles[rname] = tuple(map(tuple, map(dict.items, sups)))
 
     return Interpretation._from_ids(
         i.algebra, tuple(block_name(map(name_of, ids)) for ids in member_ids),
@@ -884,9 +880,8 @@ def prune_unreachable(i: Interpretation, phi: FeatureSet) -> Interpretation:
         cname: {new_id[x]: rank for x, rank in i._concepts[cname].items() if x in new_id}
         for cname in i.concept_names
     }
-    roles = {rname: [(new_id[x], new_id[y], rank)
-                     for y, sources in enumerate(i._in[rname]) if y in new_id
-                     for x, rank in sources if x in new_id]
+    roles = {rname: tuple([tuple([(new_id[x], rank) for x, rank in sources if x in new_id])
+                           for sources in map(i._in[rname].__getitem__, keep)])
              for rname in i.role_names}
     individuals = {a: new_id[x] for a, x in i.individuals.items()}
     return Interpretation._from_ids(
@@ -943,33 +938,18 @@ def interpretation_from_json(doc, algebra: Algebra) -> Interpretation:
 
 
 def interpretation_to_json(i: Interpretation) -> dict:
-    texts = [i.algebra.format_degree(degree) for degree in i.levels]
-    return {
-        "domain": list(i.names),
-        "individuals": {a: i.names[x] for a, x in sorted(i.individuals.items())},
-        "concepts": {
-            cname: {
-                i.names[x]: texts[rank]
-                for x, rank in sorted(i._concepts[cname].items())
-            }
-            for cname in i.concept_names
-        },
-        "roles": {
-            rname: [
-                [i.names[x], i.names[y], texts[rank]]
-                for x, successors in enumerate(i._adjacency(rname, False)) for y, rank in successors
-            ]
-            for rname in i.role_names
-        },
-    }
+    """The JSON document of an interpretation, as `interpretation_from_json`
+    reads it: the text of `interpretation_json_pieces`, parsed."""
+    return json.loads("".join(interpretation_json_pieces(i)))
 
 
 def interpretation_json_pieces(i: Interpretation) -> Iterator[str]:
-    """Pieces of text that join to `json.dumps(interpretation_to_json(i),
-    indent=1) + "\n"`, byte for byte, about one per element, concept value
-    and role instance, so a writer can stream them.  Each element name is
-    encoded once, with the `encode_basestring_ascii` that `json.dumps` uses,
-    and each level once.  Unlike `json.dumps` with `indent`, it makes no
+    """Pieces of text that join to the JSON document of an interpretation,
+    byte for byte as `json.dumps(..., indent=1) + "\n"` lays it out, about
+    one per element, concept value and role instance, so a writer can
+    stream them; this is the one writer.  Each element name is encoded
+    once, with the `encode_basestring_ascii` that `json.dumps` uses, and
+    each level once.  Unlike `json.dumps` with `indent`, it makes no
     reference cycles."""
     names = [encode_basestring_ascii(name) for name in i.names]
     levels = [encode_basestring_ascii(i.algebra.format_degree(degree)) for degree in i.levels]

@@ -7,14 +7,14 @@ rank into the graph's one `levels` tuple, and both are stored per label: a
 vertex label as one {vertex: rank} table (absent = bottom), an edge label
 as per-target incoming lists.  For graphs and interpretations alike,
 `_Reader` reads a document: it ranks the document's degrees first, then
-writes each entry's rank straight into its table or list.
-`_ranked_store` builds a store derived from checked ones, from {x: rank}
-tables and (source, target, rank) triples, compacting `levels` to the
-ranks in use.
+writes each entry's rank straight into its table or list.  A store
+derived from checked ones is written in the same form, and
+`_ranked_store` only compacts its `levels` to the ranks in use.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -32,38 +32,30 @@ class GraphStats(Record):
 
 _EdgeLists = tuple[tuple[tuple[int, int], ...], ...]  # per vertex, (vertex, rank) pairs
 _Tables = dict[str, dict[int, int]]  # per label, {x: rank}, without bottom
-_Triples = dict[str, list[tuple[int, int, int]]]  # per label, (source, target, rank) triples
 
 
-def _ranked_store(n: int, tables: _Tables, triples: _Triples, levels: tuple[Degree, ...]
+def _ranked_store(tables: _Tables, lists: dict[str, _EdgeLists], levels: tuple[Degree, ...]
                   ) -> tuple[_Tables, dict[str, _EdgeLists], tuple[Degree, ...], int]:
     """The store of a structure derived from checked ones: per-label {x:
-    rank} tables and (source, target, rank) triples over n vertices, ranks
-    into `levels` (ascending and distinct, bottom first, top last), with
-    `levels` compacted to the ranks in use and top: the tables and, per
-    label, per-target (source, rank) lists in the triples' order, both in
-    the compacted ranks; the compacted `levels`; and `l`, the number of
-    distinct edge degrees.  Only ints are sorted; no degree is hashed."""
-    edge_ranks: set[int] = set()
-    for found in triples.values():
-        edge_ranks.update(map(itemgetter(2), found))
+    rank} tables and per-target (source, rank) lists, ranks into `levels`
+    (ascending and distinct, bottom first, top last), with `levels`
+    compacted to the ranks in use and top: the tables and the lists, their
+    ranks mapped when some level is unused; the compacted `levels`; and
+    `l`, the number of distinct edge degrees.  Only ints are sorted; no
+    degree is hashed."""
+    edge_ranks = set(map(itemgetter(1), chain.from_iterable(chain.from_iterable(lists.values()))))
     top = len(levels) - 1
     kept = sorted(edge_ranks.union(*map(dict.values, tables.values()), (top,)))
-    rank_of: Sequence[int] = range(top + 1)
     if len(kept) < top:  # some level is not in use
         rank_of = [0] * (top + 1)
         for new, rank in enumerate(kept, 1):
             rank_of[rank] = new
         tables = {label: {x: rank_of[rank] for x, rank in table.items()}
                   for label, table in tables.items()}
+        lists = {label: tuple([tuple([(s, rank_of[rank]) for s, rank in sources]) for sources in found])
+                 for label, found in lists.items()}
         levels = (levels[0], *map(levels.__getitem__, kept))
-    incoming: dict[str, _EdgeLists] = {}
-    for label, found in triples.items():
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for s, t, rank in found:
-            lists[t].append((s, rank_of[rank]))
-        incoming[label] = tuple(map(tuple, lists))
-    return tables, incoming, levels, len(edge_ranks)
+    return tables, lists, levels, len(edge_ranks)
 
 
 def _merged_levels(a: tuple[Degree, ...], b: tuple[Degree, ...]
@@ -93,20 +85,24 @@ _Side = tuple[int, _Tables, Mapping[str, _EdgeLists], tuple[Degree, ...]]  # n, 
 def _union_store(first: _Side, second: _Side
                  ) -> tuple[_Tables, dict[str, _EdgeLists], tuple[Degree, ...], int]:
     """The store of the disjoint union of two stores, each given as its n,
-    {x: rank} tables, per-target lists and `levels`: the second side's
-    vertices shifted past the first's, each side's ranks mapped into the
-    two `levels` merged in one pass.  A label may have a table on one side
+    {x: rank} tables, per-target lists and `levels`: each side's lists with
+    the second side's vertices shifted past the first's and each side's
+    ranks mapped into the two `levels` merged in one pass, the first
+    side's targets then the second's per label.  The first side's lists
+    are taken as they are when its `levels` are the merged ones.  Both
+    sides have the same edge labels; a label may have a table on one side
     only."""
     levels, *rank_ofs = _merged_levels(first[3], second[3])
     tables: _Tables = {}
-    triples: _Triples = {}
+    lists: dict[str, list] = {label: [] for label in first[2]}
     for shift, rank_of, (_, labels, edges, _) in zip((0, first[0]), rank_ofs, (first, second)):
         for label, table in labels.items():
             tables.setdefault(label, {}).update({x + shift: rank_of[rank] for x, rank in table.items()})
-        for label, lists in edges.items():
-            triples.setdefault(label, []).extend(
-                (s + shift, t + shift, rank_of[rank]) for t, sources in enumerate(lists) for s, rank in sources)
-    return _ranked_store(first[0] + second[0], tables, triples, levels)
+        for label, found in edges.items():
+            if shift or len(rank_of) < len(levels):
+                found = [tuple([(s + shift, rank_of[rank]) for s, rank in sources]) for sources in found]
+            lists[label] += found
+    return _ranked_store(tables, {label: tuple(found) for label, found in lists.items()}, levels)
 
 
 _TEXT = frozenset((str,))

@@ -1,16 +1,19 @@
 """Shared instance builders for the test suite, the name-based builders kept
-as oracles for the id-built graph encoding, quotient and pruning, the
+as oracles for the id-built graph encoding, quotient and pruning and for
+the disjoint union of `largest_bisimulation` (`union_graph_by_names`), the
 out-adjacency oracles for `initial_partition` and `is_stable`, the pairwise
 fixpoint kept as the oracle for `largest_bisimulation`, the aggregate
-invariant checked after each `compcb` iteration, the partition, graph and
-aggregate reads only tests need (`refines`, `label_vector`,
-`aggregate_size`), the degree-keyed oracle for an interpretation's concept
-degrees, initial partition and statistics (`degree_oracle`), the
-two-pass document reader kept as the oracle for `graph._Reader`
-(`interpretation_by_triples`, `graph_by_triples`), the dense
-evaluator kept as the differential oracle for `eval_concept` and
-`eval_role`, and the Kleene iteration that closed `R*` before the
-evaluator's one search per star, kept as that search's oracle."""
+invariant checked after each `compcb` iteration, the partition, graph,
+aggregate and role reads only tests need (`refines`, `label_vector`,
+`aggregate_size`, `role_instances`), the dict-built document kept as the
+oracle for the streamed writer (`interpretation_dict`), the degree-keyed
+oracle for an interpretation's concept degrees, initial partition and
+statistics (`degree_oracle`), the two-pass document reader kept as the
+oracle for `graph._Reader` (`interpretation_by_triples`,
+`graph_by_triples`), the dense evaluator kept as the differential oracle
+for `eval_concept` and `eval_role`, and the Kleene iteration that closed
+`R*` before the evaluator's one search per star, kept as that search's
+oracle."""
 
 from fuzzmin import FeatureSet, FuzzyGraph, GraphStats, Interpretation, Partition, UsageError
 from fuzzmin.algebra import bundled_lattice_path, load_lattice, make_algebra
@@ -109,33 +112,77 @@ def collapse_graph(algebra) -> FuzzyGraph:
     )
 
 
+def role_instances(i, rname) -> dict[tuple[int, int], object]:
+    """Role rname of an interpretation as an {(x, y): degree} table, by
+    target, read off its per-target lists."""
+    return {(s, t): i.levels[rank] for t, sources in enumerate(i._adjacency(rname, True))
+            for s, rank in sources}
+
+
+def interpretation_dict(i) -> dict:
+    """The JSON document of an interpretation built as nested dicts and
+    lists: the oracle for the streamed writer, `interpretation_json_pieces`,
+    whose text is `json.dumps(interpretation_dict(i), indent=1) + "\\n"`."""
+    texts = [i.algebra.format_degree(degree) for degree in i.levels]
+    return {
+        "domain": list(i.names),
+        "individuals": {a: i.names[x] for a, x in sorted(i.individuals.items())},
+        "concepts": {
+            cname: {i.names[x]: texts[rank] for x, rank in sorted(i._concepts[cname].items())}
+            for cname in i.concept_names
+        },
+        "roles": {
+            rname: [[i.names[x], i.names[y], texts[rank]]
+                    for x, successors in enumerate(i._adjacency(rname, False))
+                    for y, rank in successors]
+            for rname in i.role_names
+        },
+    }
+
+
 def blocks_by_names(partition, names) -> set[frozenset[str]]:
     return {frozenset(names[v] for v in block) for block in partition.blocks}
 
 
-def graph_by_names(i, phi) -> FuzzyGraph:
-    """The graph encoding of an interpretation, built through the validating
-    name-based constructor: the oracle for `interpretation_to_graph`."""
+def _encoding_by_names(i, phi, prefix: str = "") -> tuple[list, dict, list]:
+    """The vertex names, vertex labels and edges of an interpretation's
+    graph encoding, each element name prefixed with `prefix`."""
+    names = [prefix + name for name in i.names]
     vertex_labels: dict = {}
     for cname in i.concept_names:
         for x in range(i.n):
             degree = i.concept_degree(cname, x)
             if degree != i.algebra.bottom:
-                vertex_labels.setdefault(i.names[x], {})[cname] = degree
+                vertex_labels.setdefault(names[x], {})[cname] = degree
     if phi.nominal:
         for a in i.individual_names:
-            vertex_labels.setdefault(i.names[i.individuals[a]], {})[a] = i.algebra.top
+            vertex_labels.setdefault(names[i.individuals[a]], {})[a] = i.algebra.top
     edges = []
     for rname in i.role_names:
-        for (x, y), degree in i.role_instances(rname).items():
-            edges.append((i.names[x], rname, i.names[y], degree))
+        for (x, y), degree in role_instances(i, rname).items():
+            edges.append((names[x], rname, names[y], degree))
     if phi.inverse:
         for rname in i.role_names:
             if rname + "-" in i.role_names:
                 raise UsageError(f"role name {rname + '-'!r} collides with an inverse label")
-            for (x, y), degree in i.role_instances(rname).items():
-                edges.append((i.names[y], rname + "-", i.names[x], degree))
-    return FuzzyGraph(i.algebra, i.names, vertex_labels, edges)
+            for (x, y), degree in role_instances(i, rname).items():
+                edges.append((names[y], rname + "-", names[x], degree))
+    return names, vertex_labels, edges
+
+
+def graph_by_names(i, phi) -> FuzzyGraph:
+    """The graph encoding of an interpretation, built through the validating
+    name-based constructor: the oracle for `interpretation_to_graph`."""
+    return FuzzyGraph(i.algebra, *_encoding_by_names(i, phi))
+
+
+def union_graph_by_names(i1, i2, phi) -> FuzzyGraph:
+    """The graph encoding of the disjoint union of two interpretations,
+    built through the validating constructor with the element names
+    prefixed "1:" and "2:": the oracle for `graph._union_store`."""
+    names1, labels1, edges1 = _encoding_by_names(i1, phi, "1:")
+    names2, labels2, edges2 = _encoding_by_names(i2, phi, "2:")
+    return FuzzyGraph(i1.algebra, names1 + names2, {**labels1, **labels2}, edges1 + edges2)
 
 
 def quotient_by_names(i, p) -> Interpretation:
@@ -159,7 +206,7 @@ def quotient_by_names(i, p) -> Interpretation:
     roles: dict = {}
     for rname in i.role_names:
         table: dict = {}
-        for (x, y), degree in i.role_instances(rname).items():
+        for (x, y), degree in role_instances(i, rname).items():
             key = (domain[elem_to_block[x]], domain[elem_to_block[y]])
             if degree > table.get(key, i.algebra.bottom):
                 table[key] = degree
@@ -178,7 +225,7 @@ def prune_by_names(i, phi) -> Interpretation:
     while stack:
         x = stack.pop()
         for rname, inverted in keys:
-            for (s, t) in i.role_instances(rname):
+            for (s, t) in role_instances(i, rname):
                 source, target = (t, s) if inverted else (s, t)
                 if source == x and target not in seen:
                     seen.add(target)
@@ -191,7 +238,7 @@ def prune_by_names(i, phi) -> Interpretation:
     roles = {
         rname: [
             (i.names[x], i.names[y], degree)
-            for (x, y), degree in i.role_instances(rname).items()
+            for (x, y), degree in role_instances(i, rname).items()
             if x in seen and y in seen
         ]
         for rname in i.role_names
@@ -481,7 +528,7 @@ def largest_bisimulation_by_fixpoint(
 
     def successors(i, rname, inverted) -> list[list]:
         out: list[list] = [[] for _ in range(i.n)]
-        for (x, y), d in i.role_instances(rname).items():
+        for (x, y), d in role_instances(i, rname).items():
             if inverted:
                 x, y = y, x
             out[x].append((y, d))
@@ -579,7 +626,7 @@ def dense_role_matrix(i, role) -> list[list]:
     n = i.n
     if isinstance(role, RoleName):
         rows = [[bottom] * n for _ in range(n)]
-        for (x, y), degree in i.role_instances(role.name).items():
+        for (x, y), degree in role_instances(i, role.name).items():
             rows[x][y] = degree
         return rows
     if isinstance(role, UniversalRole):
@@ -696,7 +743,7 @@ def kleene_modal(i, role, v, some, inverted=False) -> list:
         return kleene_modal(i, role.child, v, some, not inverted)
     if isinstance(role, RoleName):
         out = [alg.bottom if some else alg.top] * i.n
-        for (x, y), degree in i.role_instances(role.name).items():
+        for (x, y), degree in role_instances(i, role.name).items():
             if inverted:
                 x, y = y, x
             out[x] = join(out[x], step(degree, v[y]))

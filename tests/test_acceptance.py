@@ -59,6 +59,7 @@ from helpers import (
     collapsed_twin,
     two_component_interp,
     blocks_by_names,
+    role_instances,
 )
 
 GODEL = GodelAlgebra()
@@ -124,7 +125,7 @@ def test_criterion_3_minimize_all_feature_sets():
 
     def roles(j):
         return {
-            (j.names[x], j.names[y]): d for (x, y), d in j.role_instances("r").items()
+            (j.names[x], j.names[y]): d for (x, y), d in role_instances(j, "r").items()
         }
 
     j1 = minimize(i, PHI_PSI)
@@ -165,8 +166,8 @@ def _isomorphic(i1: Interpretation, i2: Interpretation) -> bool:
         ):
             continue
         if all(
-            {(mapping[x], mapping[y]): d for (x, y), d in i1.role_instances(r).items()}
-            == dict(i2.role_instances(r))
+            {(mapping[x], mapping[y]): d for (x, y), d in role_instances(i1, r).items()}
+            == role_instances(i2, r)
             for r in i1.role_names
         ):
             return True
@@ -179,7 +180,7 @@ def test_criterion_4_minimize_matches_two_element_twin():
     ok = _isomorphic(reduced, twin)
     roles = {
         (reduced.names[x], reduced.names[y]): d
-        for (x, y), d in reduced.role_instances("r").items()
+        for (x, y), d in role_instances(reduced, "r").items()
     }
     ok = ok and roles == {("{u}", "{v,w}"): F("0.9"), ("{v,w}", "{v,w}"): F("0.8")}
     report(4, ok, "three-element instance minimizes to its two-element twin, exact")

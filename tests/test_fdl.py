@@ -11,6 +11,7 @@ from fuzzmin import (
     ExistsConcept,
     FeatureSet,
     ForallConcept,
+    FuzzyGraph,
     GodelAlgebra,
     Interpretation,
     LukasiewiczAlgebra,
@@ -42,7 +43,9 @@ from fuzzmin.fdl import (
     StarRole,
     TestRole,
     UniversalRole,
+    _encoding,
 )
+from fuzzmin.graph import _union_store
 from fuzzmin.algebra import bundled_lattice_path, load_lattice
 from fuzzmin.generate import GeneratorParams, random_concept, random_interpretation, random_role
 from fuzzmin.syntax import parse_concept, parse_role
@@ -63,7 +66,9 @@ from helpers import (
     out_maps,
     prune_by_names,
     quotient_by_names,
+    role_instances,
     two_component_interp,
+    union_graph_by_names,
 )
 
 GODEL = GodelAlgebra()
@@ -484,6 +489,52 @@ def test_largest_bisimulation_ignores_shared_element_names():
         assert relation == largest_bisimulation_by_fixpoint(i1, i2, phi)
 
 
+def _assert_union_store_matches_names(i1, i2, phi):
+    """The id-built store of the encoded disjoint union against the graph
+    built by prefixed names: the same `levels`, vertex-label tables, edge
+    labels and statistics, and per target the same sources as a set."""
+    built = FuzzyGraph._from_ids(i1.algebra, i1.names + i2.names, *_union_store(
+        (i1.n, *_encoding(i1, phi), i1.levels), (i2.n, *_encoding(i2, phi), i2.levels)))
+    oracle = union_graph_by_names(i1, i2, phi)
+    assert built.levels == oracle.levels
+    assert built._labels == oracle._labels
+    assert built.edge_label_names == oracle.edge_label_names
+    for label in built.edge_label_names:
+        assert list(map(set, built.incoming(label))) == list(map(set, oracle.incoming(label))), label
+    assert built.stats() == oracle.stats()
+    return built
+
+
+def test_union_store_matches_name_built_union():
+    params = GeneratorParams(n_min=2, n_max=12, edge_factor=3, pool_size=4, individual_count=2)
+    godel5 = load_lattice(bundled_lattice_path("godel5"))
+    differ = 0
+    for k, alg in enumerate([GODEL, PRODUCT, LUK, godel5]):
+        for seed in range(8):
+            i = random_interpretation(params, 60 * k + seed, alg)
+            j = random_interpretation(params, 60 * k + seed + 30, alg)
+            differ += i.levels != j.levels
+            for phi in BISIM_FEATURES[:3]:  # baaz; baaz,inverse; baaz,nominal
+                for left, right in ((i, j), (j, i), (i, minimize(i, phi))):
+                    _assert_union_store_matches_names(left, right, phi)
+    assert differ > 20
+
+
+def test_union_store_takes_a_concept_from_one_side():
+    # A is non-bottom on the left only, B on the right only, and the sides'
+    # levels, (0, 1/2, 1) and (0, 1/4, 1/3, 1), merge into one ascending tuple
+    left = Interpretation(GODEL, ["u", "v"], individuals={"a": "u"},
+                          concepts={"A": {"u": "1/2"}, "B": {"v": "0"}},
+                          roles={"r": [("u", "v", "1")]})
+    right = Interpretation(GODEL, ["w", "x"], individuals={"a": "x"},
+                           concepts={"A": {}, "B": {"w": "1/3"}},
+                           roles={"r": [("x", "w", "1/4")]})
+    for phi in BISIM_FEATURES[:3]:
+        built = _assert_union_store_matches_names(left, right, phi)
+        assert built.levels == (0, F(1, 4), F(1, 3), F(1, 2), 1)
+        assert built._labels["A"] == {0: 3} and built._labels["B"] == {2: 2}
+
+
 def test_largest_bisimulation_signature_mismatch_rejected():
     i1 = chain_interp(GODEL)
     other = Interpretation(GODEL, ["x"], concepts={"B": {}}, roles={"r": []})
@@ -629,7 +680,7 @@ def test_concept_and_role_degrees_share_one_levels_tuple():
 def role_map(i, rname):
     return {
         (i.names[x], i.names[y]): degree
-        for (x, y), degree in i.role_instances(rname).items()
+        for (x, y), degree in role_instances(i, rname).items()
     }
 
 
@@ -849,7 +900,7 @@ def test_interpretation_json_roundtrip(tmp_path):
     back = load_interpretation(str(path), GODEL)
     assert back.names == i.names
     assert back.individuals == i.individuals
-    assert back.role_instances("r") == i.role_instances("r")
+    assert role_instances(back, "r") == role_instances(i, "r")
     for cname in i.concept_names:
         for x in range(i.n):
             assert back.concept_degree(cname, x) == i.concept_degree(cname, x)

@@ -16,7 +16,7 @@ from fuzzmin.generate import (
     random_interpretation,
     random_role,
 )
-from helpers import label_vector
+from helpers import label_vector, role_instances
 
 GODEL = GodelAlgebra()
 PARAMS = GeneratorParams(n_min=2, n_max=15, edge_factor=4, pool_size=5)
@@ -78,7 +78,7 @@ def test_generated_interpretations_load():
         assert i.n >= 2
         assert i.individual_names  # defaults include one individual
         for rname in i.role_names:
-            for (_, _), degree in i.role_instances(rname).items():
+            for (_, _), degree in role_instances(i, rname).items():
                 assert degree > 0
 
 

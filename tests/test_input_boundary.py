@@ -10,13 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzmin import FeatureSet, FuzzyGraph, GodelAlgebra, Interpretation, UsageError
-from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, load_lattice
+from fuzzmin.algebra import MAX_LATTICE_SIZE, bundled_lattice_path, load_lattice, read_json
 from fuzzmin.cli import main
 from fuzzmin.fdl import FEATURE_NAMES, interpretation_from_json, load_relation
 from fuzzmin.generate import GeneratorParams, random_interpretation
 from fuzzmin.graph import _Reader, graph_from_json
 from fuzzmin.syntax import parse_concept
-from helpers import label_vector
+from helpers import label_vector, role_instances
 
 GODEL = GodelAlgebra()
 GODEL5 = load_lattice(bundled_lattice_path("godel5"))
@@ -91,7 +91,7 @@ def test_text_and_int_give_the_same_lattice_degree():
     assert [i.concept_degree("A", x) for x in range(3)] == [3, 3, 3]
     assert i.levels == (0, 3, 4)
     assert set(i._concepts["A"].values()) == {1}
-    assert set(i.role_instances("r").values()) == {3}
+    assert set(role_instances(i, "r").values()) == {3}
 
 
 def test_equal_texts_share_one_degree_object():
@@ -103,8 +103,8 @@ def test_equal_texts_share_one_degree_object():
     assert i.concept_degree("A", 0) == F(1, 2)
     assert i.concept_degree("A", 0) is i.concept_degree("A", 1)
     assert i.concept_degree("A", 0) is i.concept_degree("B", 2)
-    assert i.role_instances("r")[(0, 1)] is i.concept_degree("A", 0)
-    assert i.role_instances("r")[(1, 2)] is i.concept_degree("A", 0)
+    assert role_instances(i, "r")[(0, 1)] is i.concept_degree("A", 0)
+    assert role_instances(i, "r")[(1, 2)] is i.concept_degree("A", 0)
     g = FuzzyGraph(GODEL, ["u", "v"], {"u": {"A": "1/2"}, "v": {"A": "1/2"}},
                    [("u", "r", "v", "1/2")])
     assert label_vector(g, 0)[0] is label_vector(g, 1)[0] is g.levels[1]
@@ -118,7 +118,7 @@ def test_degree_objects_made_while_reading_keep_their_own_k():
     names = [f"x{k}" for k in range(201)]
     i = Interpretation(GODEL5, names, roles={"r": (
         (names[k], names[k + 1], F(d.numerator)) for k, d in enumerate(degrees))})
-    assert [i.role_instances("r")[k, k + 1] for k in range(200)] == degrees
+    assert [role_instances(i, "r")[k, k + 1] for k in range(200)] == degrees
 
 
 def test_one_k_per_distinct_degree_object(monkeypatch):
@@ -135,10 +135,32 @@ def test_one_k_per_distinct_degree_object(monkeypatch):
             i = random_interpretation(params, seed, alg)
             monkeypatch.undo()
             instances = (sum(len(i._concepts[c]) for c in i.concept_names)
-                         + sum(len(i.role_instances(r)) for r in i.role_names))
+                         + sum(len(role_instances(i, r)) for r in i.role_names))
             assert len({id(value) for value in parsed}) == len(parsed) <= instances, (alg.name, seed)
             shared += instances - len(parsed)
     assert shared > 0
+
+
+def test_bare_decimals_are_parsed_once_per_text(tmp_path, monkeypatch):
+    # read_json keeps one Fraction per distinct decimal text, so the reader,
+    # which keys a value that is not a text by its object, parses 0.375 once
+    names = [f"e{k}" for k in range(1001)]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"domain": names, "concepts": {"A": {x: "@" for x in names[:500]}},
+                                "roles": {"r": [[names[k], names[k + 1], "@"] for k in range(500)]}})
+                    .replace('"@"', "0.375"))
+    doc = read_json(str(path))
+    values = [*doc["concepts"]["A"].values(), *(entry[2] for entry in doc["roles"]["r"])]
+    assert len(values) == 1000 and values[0] == F(3, 8)
+    assert all(value is values[0] for value in values)
+    alg = GodelAlgebra()
+    parsed = []
+    parse = alg.parse_degree
+    monkeypatch.setattr(alg, "parse_degree", lambda value: parsed.append(value) or parse(value))
+    i = interpretation_from_json(doc, alg)
+    assert parsed == [F(3, 8)]
+    assert i.levels == (0, F(3, 8), 1)
+    assert read_json(str(path))["concepts"]["A"]["e0"] is not values[0]  # one call's objects
 
 
 # --- fuzz: only UsageError out of the loaders ----------------------------------

@@ -1,5 +1,7 @@
-"""The `minimize` writer: `interpretation_json_pieces` joins to exactly the
-text of `json.dumps(interpretation_to_json(i), indent=1) + "\\n"`."""
+"""The one writer: `interpretation_json_pieces` joins to exactly the text of
+`json.dumps(interpretation_dict(i), indent=1) + "\\n"`, the dict-built
+document kept in `helpers` as its oracle, and `interpretation_to_json` is
+that text parsed."""
 
 import json
 from fractions import Fraction as F
@@ -21,6 +23,7 @@ from fuzzmin import (
 from fuzzmin.algebra import bundled_lattice_path, load_lattice
 from fuzzmin.cli import main
 from fuzzmin.generate import GeneratorParams, random_interpretation
+from helpers import interpretation_dict
 
 GODEL = GodelAlgebra()
 ALGEBRAS = {
@@ -32,7 +35,7 @@ ALGEBRAS = {
 
 
 def _oracle(i: Interpretation) -> str:
-    return json.dumps(interpretation_to_json(i), indent=1) + "\n"
+    return json.dumps(interpretation_dict(i), indent=1) + "\n"
 
 
 def _written(i: Interpretation) -> str:
@@ -48,6 +51,7 @@ def test_writer_matches_json_dumps_on_random_interpretations(name):
     for seed in range(25):
         i = random_interpretation(params, seed, alg)
         assert _written(i) == _oracle(i), seed
+        assert interpretation_to_json(i) == interpretation_dict(i), seed
         reduced = minimize(i, phi)  # block names: braces and commas
         assert _written(reduced) == _oracle(reduced), seed
 
